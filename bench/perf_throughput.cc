@@ -40,7 +40,6 @@
 
 #include "common/version.hh"
 #include "prof/host_info.hh"
-#include "sim/simulator.hh"
 #include "soc/chip.hh"
 
 namespace {
@@ -108,10 +107,8 @@ measure(const Mix &mix, PolicyKind policy, std::uint64_t commits,
         int reps)
 {
     // Deterministic work (paper baseline, default seed) repeated
-    // reps times; the fastest repetition is reported.
-    // One timing/best-rep block for both machine kinds: only the
-    // simulator construction differs, and the construction cost is
-    // deliberately outside the timed region.
+    // reps times; the fastest repetition is reported. Construction
+    // is deliberately outside the timed region.
     auto runOnce = [&](SimResult &out) {
         SimConfig cfg;
         if (mix.cores > 1) {
@@ -122,15 +119,10 @@ measure(const Mix &mix, PolicyKind policy, std::uint64_t commits,
             cfg.soc.epochCycles = 2'000;
             cfg.soc.llcArbiter = mix.llcArbiter;
             cfg.soc.llc.arbEpoch = 1'000;
-            ChipSimulator chip(cfg, mix.benches, policy);
-            const auto t0 = std::chrono::steady_clock::now();
-            out = chip.run(commits, 500'000'000);
-            const auto t1 = std::chrono::steady_clock::now();
-            return std::chrono::duration<double>(t1 - t0).count();
         }
-        Simulator sim(cfg, mix.benches, policy);
+        ChipSimulator chip(cfg, mix.benches, policy);
         const auto t0 = std::chrono::steady_clock::now();
-        out = sim.run(commits, 500'000'000);
+        out = chip.run(commits, 500'000'000);
         const auto t1 = std::chrono::steady_clock::now();
         return std::chrono::duration<double>(t1 - t0).count();
     };

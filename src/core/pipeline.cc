@@ -11,14 +11,28 @@
 
 namespace smt {
 
+namespace {
+
+/** The config, checked before any member is sized from it (a
+ *  too-small register file must be a fatal(), not a RegFiles
+ *  assertion). */
+const SmtConfig &
+validated(const SmtConfig &cfg)
+{
+    cfg.validate();
+    return cfg;
+}
+
+} // anonymous namespace
+
 Pipeline::Pipeline(const SmtConfig &cfg_, MemorySystem &mem_,
                    BranchPredictor &bpred_, Policy &policy_,
                    std::vector<ThreadProgram> programs)
-    : cfg(cfg_),
+    : cfg(validated(cfg_)),
       mem(mem_),
       bpred(bpred_),
       policy(policy_),
-      pool(poolCapacity(cfg_)),
+      pool(poolCapacity(cfg)),
       regFiles(cfg.physRegsPerFile, cfg.numThreads),
       robBuf(cfg.robSize, cfg.numThreads),
       rtracker(cfg.numThreads),
@@ -26,7 +40,6 @@ Pipeline::Pipeline(const SmtConfig &cfg_, MemorySystem &mem_,
       wakeup(cfg.physRegsPerFile),
       wheel(wheelSize)
 {
-    cfg.validate();
     SMT_ASSERT(static_cast<int>(programs.size()) == cfg.numThreads,
                "got %zu programs for %d threads", programs.size(),
                cfg.numThreads);

@@ -6,6 +6,8 @@
 #ifndef DCRA_SMT_CORE_SMT_CONFIG_HH
 #define DCRA_SMT_CORE_SMT_CONFIG_HH
 
+#include <string>
+
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "core/resources.hh"
@@ -94,18 +96,39 @@ struct SmtConfig
         }
     }
 
+    /** Why a core cannot be built from this configuration; empty
+     *  when it can. */
+    std::string
+    problem() const
+    {
+        if (numThreads < 1 || numThreads > maxThreads)
+            return "numThreads " + std::to_string(numThreads) +
+                " out of range";
+        if (renameRegsPerFile() <= 0)
+            return "no rename registers: " +
+                std::to_string(physRegsPerFile) + " phys regs, " +
+                std::to_string(numThreads) + " threads (need more "
+                "than " + std::to_string(numThreads * numIntArchRegs) +
+                " per file)";
+        if (fetchWidth < 1 || renameWidth < 1 || issueWidth < 1 ||
+            commitWidth < 1)
+            return "pipeline widths must be positive";
+        for (int q = 0; q < numQueueClasses; ++q) {
+            if (iqSize[q] < 1)
+                return "issue queue " + std::to_string(q) + " has " +
+                    std::to_string(iqSize[q]) +
+                    " entries; needs at least 1";
+        }
+        return "";
+    }
+
     /** Sanity-check the configuration; fatal() on user error. */
     void
     validate() const
     {
-        if (numThreads < 1 || numThreads > maxThreads)
-            fatal("numThreads %d out of range", numThreads);
-        if (renameRegsPerFile() <= 0)
-            fatal("no rename registers: %d phys regs, %d threads",
-                  physRegsPerFile, numThreads);
-        if (fetchWidth < 1 || renameWidth < 1 || issueWidth < 1 ||
-            commitWidth < 1)
-            fatal("pipeline widths must be positive");
+        const std::string why = problem();
+        if (!why.empty())
+            fatal("%s", why.c_str());
     }
 };
 

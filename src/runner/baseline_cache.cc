@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "runner/sweep_spec.hh"
+#include "sim/simulator.hh"
 
 namespace smt {
 
@@ -14,7 +15,12 @@ simulateBaseline(const SimConfig &cfg, const std::string &bench,
                  std::uint64_t commits, std::uint64_t warmup,
                  Cycle maxCycles)
 {
-    Simulator sim(cfg, {bench}, PolicyKind::Icount);
+    // A baseline is the bench alone on the single-core machine,
+    // whatever chip the sweep point simulates: the cache key leaves
+    // cfg.soc out, so every chip shape must get the same number.
+    SimConfig one = cfg;
+    one.soc = SocParams();
+    Simulator sim(one, {bench}, PolicyKind::Icount);
     const SimResult res = sim.run(commits, maxCycles, warmup);
     return res.threads[0].ipc;
 }
@@ -33,9 +39,9 @@ BaselineCache::ipc(const SimConfig &cfg, const std::string &bench,
                    std::uint64_t commits, std::uint64_t warmup,
                    Cycle maxCycles)
 {
-    // The baseline run is always single-threaded (Simulator overrides
-    // numThreads to the bench count), so configs differing only in
-    // numThreads share one entry.
+    // The baseline run is always single-threaded (a 1-core machine
+    // sizes its contexts to the bench count), so configs differing
+    // only in numThreads share one entry.
     SimConfig keyCfg = cfg;
     keyCfg.core.numThreads = 1;
     std::string key = configKey(keyCfg);

@@ -20,7 +20,7 @@
 #include <string>
 
 #include "common/types.hh"
-#include "sim/simulator.hh"
+#include "sim/sim_config.hh"
 
 namespace smt {
 
@@ -43,9 +43,10 @@ class BaselineCache
     explicit BaselineCache(Compute compute);
 
     /**
-     * Single-thread IPC of @p bench under @p cfg (numThreads is
-     * normalised to 1 in the cache key, matching what Simulator
-     * itself does for a one-bench run). Computes on first use,
+     * Single-thread IPC of @p bench under @p cfg on the single-core
+     * machine: cfg.soc is ignored and numThreads is normalised to 1
+     * in the cache key, as a one-bench 1-core run sizes its
+     * contexts to the bench count. Computes on first use,
      * returns the cached value afterwards; safe to call from any
      * number of threads concurrently.
      */

@@ -135,9 +135,9 @@ runJobInProcess(const SweepSpec &spec, const SweepJob &job,
         hprof->enableSpans(spec.telemetry.traceEnabled());
     }
     const std::uint64_t runT0 = hprof ? hprof->nowNs() : 0;
-    if (job.config.soc.numCores > 1) {
-        // CMP grid point: the whole chip is one job, so host
-        // parallelism still never touches result determinism.
+    {
+        // The whole chip (one core or many) is one job, so host
+        // parallelism never touches result determinism.
         ChipSimulator chip(job.config, job.workload.benches,
                            job.policy);
         if (hub)
@@ -145,33 +145,33 @@ runJobInProcess(const SweepSpec &spec, const SweepJob &job,
         if (hprof)
             chip.setHostProfiler(hprof.get());
         s.raw = chip.run(spec.commits, spec.maxCycles, spec.warmup);
-    } else {
-        Simulator sim(job.config, job.workload.benches, job.policy);
-        if (hub)
-            sim.setTelemetry(hub.get());
-        if (hprof)
-            sim.setHostProfiler(hprof.get());
-        s.raw = sim.run(spec.commits, spec.maxCycles, spec.warmup);
     }
     if (hprof) {
         hprof->record("{\"type\": \"run\", \"wallNs\": " +
                       fmtU64(hprof->nowNs() - runT0) + "}");
-        writeHostProfile(*hprof,
-                         profFileBase(spec.prof.prefix, job.index),
-                         "job" + std::to_string(job.index));
+        s.sidecars.written = writeHostProfile(
+            *hprof, profFileBase(spec.prof.prefix, job.index),
+            "job" + std::to_string(job.index));
+        s.sidecars.scopes = hprof->scopeCount();
+        s.sidecars.records = hprof->recordCount();
+        s.sidecars.spans = hprof->spanCount();
     }
     if (hub) {
         const std::string &tsPrefix = spec.telemetry.tsOutPrefix();
-        writeTelemetryFiles(
-            *hub,
-            tsPrefix.empty()
-                ? std::string()
-                : telemetryFileBase(tsPrefix, job.index),
-            spec.telemetry.traceEnabled()
-                ? telemetryFileBase(spec.telemetry.tracePrefix,
-                                    job.index)
-                : std::string(),
-            hprof ? hprof->chromeTraceEvents() : std::string());
+        s.sidecars.samples = hub->sampleCount();
+        s.sidecars.events = hub->eventCount();
+        s.sidecars.written =
+            writeTelemetryFiles(
+                *hub,
+                tsPrefix.empty()
+                    ? std::string()
+                    : telemetryFileBase(tsPrefix, job.index),
+                spec.telemetry.traceEnabled()
+                    ? telemetryFileBase(spec.telemetry.tracePrefix,
+                                        job.index)
+                    : std::string(),
+                hprof ? hprof->chromeTraceEvents() : std::string()) &&
+            s.sidecars.written;
     }
     for (std::size_t t = 0; t < job.workload.benches.size(); ++t) {
         s.multiIpc.push_back(s.raw.threads[t].ipc);

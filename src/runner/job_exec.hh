@@ -93,7 +93,7 @@ struct ExecOutcome
 };
 
 /**
- * The plain run path: simulate the job (chip or single-core),
+ * The plain run path: simulate the job's chip (one core or many),
  * telemetry and Hmean baselines included. This is what the runner
  * always executed; isolation forks around it.
  */

@@ -20,7 +20,7 @@
 #include "core/resources.hh"
 #include "policy/factory.hh"
 #include "policy/sharing_model.hh"
-#include "sim/simulator.hh"
+#include "sim/sim_config.hh"
 #include "sim/workload.hh"
 
 namespace smt {
@@ -55,8 +55,8 @@ struct ConfigOverride
     std::optional<std::uint64_t> seed;
 
     /** @name Chip-level (CMP) axes
-     * numCores > 1 makes the runner execute the job on a
-     * ChipSimulator; the others shape the chip. */
+     * numCores > 1 makes the job a multi-core chip; the others
+     * shape it. */
     /** @{ */
     std::optional<int> numCores;
     std::optional<int> contextsPerCore;
@@ -175,7 +175,7 @@ struct SweepJob
     Workload workload;
     PolicyKind policy = PolicyKind::Icount;
     std::string configLabel;
-    SimConfig config; //!< base + override, ready for Simulator
+    SimConfig config; //!< base + override, ready for ChipSimulator
 };
 
 /**

@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "sim/metrics.hh"
+#include "sim/simulator.hh"
 
 namespace smt {
 
@@ -28,7 +29,11 @@ ExperimentContext::singleThreadIpc(const std::string &bench)
 RunSummary
 ExperimentContext::runWorkload(const Workload &w, PolicyKind policy)
 {
-    Simulator sim(base, w.benches, policy);
+    // Runs on the single-core machine whatever base.soc says, like
+    // its baselines (see BaselineCache).
+    SimConfig one = base;
+    one.soc = SocParams();
+    Simulator sim(one, w.benches, policy);
     RunSummary s;
     s.raw = sim.run(limit, 50'000'000, warmup);
     for (std::size_t i = 0; i < w.benches.size(); ++i) {

@@ -9,6 +9,7 @@
 #ifndef DCRA_SMT_SIM_EXPERIMENT_HH
 #define DCRA_SMT_SIM_EXPERIMENT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,7 +18,7 @@
 #include "common/json.hh"
 #include "policy/factory.hh"
 #include "runner/baseline_cache.hh"
-#include "sim/simulator.hh"
+#include "sim/sim_config.hh"
 #include "sim/workload.hh"
 
 namespace smt {
@@ -39,6 +40,19 @@ struct RunSummary
     std::vector<double> multiIpc;
     std::vector<double> singleIpc;
     SimResult raw;
+
+    /** What the run's telemetry/--prof sidecar files hold, for the
+     *  CLI's one-line notes. Host bookkeeping: never serialized, so
+     *  a replayed or isolated job reports zeros. */
+    struct Sidecars
+    {
+        std::size_t samples = 0; //!< telemetry samples
+        std::size_t events = 0;  //!< telemetry events
+        std::size_t scopes = 0;  //!< host-profiler scopes
+        std::size_t records = 0; //!< host-profiler records
+        std::size_t spans = 0;   //!< host-profiler spans
+        bool written = true;     //!< every sidecar write succeeded
+    } sidecars;
 };
 
 /**

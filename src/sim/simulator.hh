@@ -1,229 +1,21 @@
 /**
  * @file
- * Top-level simulation driver: owns the memory system, branch
- * predictor, trace generators, policy and pipeline for one run, and
- * collects the per-run measurements the experiments report.
+ * The paper's single-core SMT machine. It is the 1-core case of the
+ * chip layer: Simulator names ChipSimulator, which with
+ * cfg.soc.numCores == 1 (the default) builds one core with its
+ * private hierarchy, no shared LLC and nothing to migrate. The name
+ * remains for code that means "one core" (tests, benches, examples).
  */
 
 #ifndef DCRA_SMT_SIM_SIMULATOR_HH
 #define DCRA_SMT_SIM_SIMULATOR_HH
 
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "bpred/predictor.hh"
-#include "common/stats.hh"
-#include "common/types.hh"
-#include "core/pipeline.hh"
-#include "core/smt_config.hh"
-#include "mem/memory_system.hh"
-#include "policy/factory.hh"
-#include "soc/soc_params.hh"
-#include "trace/generator.hh"
+#include "sim/sim_config.hh"
+#include "soc/chip.hh"
 
 namespace smt {
 
-/** Everything configurable about one run. */
-struct SimConfig
-{
-    SmtConfig core;
-    MemParams mem;
-    BpredParams bpred;
-    PolicyParams policy;
-    /** Chip-level (CMP) shape; numCores == 1 leaves everything else
-     *  exactly the single-core machine (Simulator ignores soc). */
-    SocParams soc;
-    std::uint64_t seed = 0x5eed;
-};
-
-/** Per-thread outcome of a run. */
-struct ThreadResult
-{
-    std::string bench;
-    std::uint64_t committed = 0;
-    double ipc = 0.0;
-    std::uint64_t fetched = 0;
-    std::uint64_t fetchedWrongPath = 0;
-    std::uint64_t squashed = 0;
-    std::uint64_t condBranches = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t flushes = 0;
-    std::uint64_t l1dAccesses = 0;
-    std::uint64_t l1dMisses = 0;
-    std::uint64_t l2Accesses = 0;
-    std::uint64_t l2Misses = 0;
-
-    /** Data-side L2 miss rate in percent (paper Table 3 metric). */
-    double
-    l2MissRatePct() const
-    {
-        return l2Accesses ? 100.0 * static_cast<double>(l2Misses) /
-                static_cast<double>(l2Accesses)
-                          : 0.0;
-    }
-};
-
-/** Per-core shared-LLC outcome of a multi-core run. */
-struct LlcCoreStats
-{
-    std::uint64_t accesses = 0;
-    std::uint64_t misses = 0;
-    /** MSHR share at end of run; -1 = unlimited (ungated core). */
-    int mshrShare = -1;
-    /** Ways assigned to the core; 0 = LLC not way-partitioned. */
-    int ways = 0;
-    /** LLC lines the core currently owns (occupancy). */
-    std::uint64_t linesOwned = 0;
-};
-
-/** Whole-run outcome. */
-struct SimResult
-{
-    Cycle cycles = 0;
-    std::vector<ThreadResult> threads;
-
-    /** cycles in which exactly n threads were in a slow phase. */
-    std::vector<std::uint64_t> slowPhaseCycles;
-
-    /** Mean outstanding memory-level loads over busy cycles (MLP). */
-    double mlpBusyMean = 0.0;
-
-    /** @name Chip-level extras (multi-core runs only)
-     * Empty/zero for single-core runs so the single-core result is
-     * unchanged byte for byte. coreCommitHashes folds each core's
-     * per-context commit-stream hashes into one word per core — the
-     * committed streams are the chip's architectural ground truth,
-     * so these are what the 2-core golden test pins.
-     */
-    /** @{ */
-    std::vector<std::uint64_t> coreCommitHashes;
-    std::uint64_t migrations = 0;     //!< threads moved between cores
-    std::uint64_t allocEpochs = 0;    //!< allocator epochs run
-    std::uint64_t llcAccesses = 0;    //!< shared-LLC accesses
-    std::uint64_t llcMisses = 0;      //!< shared-LLC misses
-    std::string llcArbiter;           //!< arbiter name; "" = 1 core
-    /** Epochs at which the LLC arbiter changed at least one share. */
-    std::uint64_t llcShareReassignments = 0;
-    std::vector<LlcCoreStats> llcPerCore; //!< per-core LLC outcome
-    /** @} */
-
-    /** IPC throughput (sum over threads). */
-    double
-    throughput() const
-    {
-        double s = 0.0;
-        for (const auto &t : threads)
-            s += t.ipc;
-        return s;
-    }
-
-    /** Total fetched instructions including wrong path. */
-    std::uint64_t
-    totalFetched() const
-    {
-        std::uint64_t s = 0;
-        for (const auto &t : threads)
-            s += t.fetched;
-        return s;
-    }
-};
-
-/**
- * One simulation instance. Construct, run once, read the result.
- */
-class Simulator
-{
-  public:
-    /**
-     * @param cfg full configuration.
-     * @param benches one profile name per hardware context; the core
-     *        config's numThreads is overridden to match.
-     * @param policyKind which policy arbitrates resources.
-     */
-    Simulator(const SimConfig &cfg,
-              const std::vector<std::string> &benches,
-              PolicyKind policyKind);
-
-    /**
-     * Same, but with a user-provided policy implementation (see
-     * examples/custom_policy.cpp).
-     */
-    Simulator(const SimConfig &cfg,
-              const std::vector<std::string> &benches,
-              std::unique_ptr<Policy> customPolicy);
-
-    ~Simulator();
-
-    /**
-     * Run until the first thread commits commitLimit instructions or
-     * maxCycles elapse (whichever is first).
-     *
-     * @param warmupCommits commits (first thread) executed before
-     *        statistics collection starts; caches, predictors and
-     *        policy state stay warm across the reset.
-     */
-    SimResult run(std::uint64_t commitLimit,
-                  Cycle maxCycles = 50'000'000,
-                  std::uint64_t warmupCommits = 0);
-
-    /**
-     * Attach a telemetry hub (nullptr detaches). Registers the
-     * pipeline's, memory system's and policy's channels; run() then
-     * samples the hub every interval and marks slow-phase
-     * transitions on the "core0" event track. Call before run().
-     */
-    void setTelemetry(TelemetryHub *hub);
-
-    /**
-     * Attach the host wall-clock profiler (--prof; nullptr
-     * detaches): the pipeline's stage scopes register unprefixed
-     * ("stage.fetch", ...) and tick() host-times 1 in
-     * prof->sampleEvery() cycles. Host times never reach SimResult.
-     * Call before run().
-     */
-    void setHostProfiler(HostProfiler *prof);
-
-    /** The pipeline, for tests that need to poke internals. */
-    Pipeline &pipeline() { return *pipe; }
-
-    /** The memory system. */
-    MemorySystem &memory() { return *mem; }
-
-    /** The policy instance. */
-    Policy &policy() { return *pol; }
-
-  private:
-    /** Pre-load caches/TLBs with the hot regions (see .cc). */
-    void prewarm();
-
-    SimConfig cfg;
-    std::vector<std::string> benchNames;
-    std::unique_ptr<MemorySystem> mem;
-    std::unique_ptr<BranchPredictor> bpred;
-    std::unique_ptr<Policy> pol;
-    std::vector<std::unique_ptr<SyntheticTraceGenerator>> gens;
-    std::unique_ptr<Pipeline> pipe;
-
-    /** @name Telemetry (null unless setTelemetry ran) */
-    /** @{ */
-    TelemetryHub *telem = nullptr;
-    int telemTrack = 0;
-    std::vector<bool> telemSlow; //!< per-thread slow-phase latch
-    /** @} */
-};
-
-/**
- * Pre-load one memory system's caches/TLBs with the hot regions of
- * @p benches (one per hardware context, with @p addrBases giving
- * each program's address-region base). Shared by Simulator and the
- * chip layer, which must warm every core exactly the way the
- * single-core machine is warmed. Ends with mem.resetStats().
- */
-void prewarmMemory(MemorySystem &mem,
-                   const std::vector<std::string> &benches,
-                   const std::vector<Addr> &addrBases);
+using Simulator = ChipSimulator;
 
 } // namespace smt
 

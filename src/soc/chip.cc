@@ -61,20 +61,41 @@ ChipSimulator::ChipSimulator(
     const SimConfig &cfg_, const std::vector<std::string> &benches,
     PolicyKind policyKind,
     std::unique_ptr<ThreadToCoreAllocator> allocator)
-    : cfg(cfg_), benchNames(benches),
-      nThreads(static_cast<int>(benches.size())),
+    : ChipSimulator(cfg_, benches, policyKind, nullptr,
+                    std::move(allocator))
+{
+}
+
+ChipSimulator::ChipSimulator(const SimConfig &cfg_,
+                             const std::vector<std::string> &benches,
+                             std::unique_ptr<Policy> customPolicy)
+    // The kind is unused: the injected instance drives the one core.
+    : ChipSimulator(cfg_, benches, PolicyKind::Icount,
+                    std::move(customPolicy),
+                    makeAllocator(cfg_.soc.allocator))
+{
+}
+
+ChipSimulator::ChipSimulator(
+    const SimConfig &cfg_, const std::vector<std::string> &benches,
+    PolicyKind policyKind, std::unique_ptr<Policy> customPolicy,
+    std::unique_ptr<ThreadToCoreAllocator> allocator)
+    : soc(cfg_.soc), commitWidth(cfg_.core.commitWidth),
+      benchNames(benches), nThreads(static_cast<int>(benches.size())),
       nCores(cfg_.soc.numCores), alloc(std::move(allocator))
 {
     if (nCores < 1)
         fatal("chip needs at least one core (got %d)", nCores);
     SMT_ASSERT(alloc != nullptr, "null allocator");
     SMT_ASSERT(!benches.empty(), "empty workload");
+    SMT_ASSERT(!customPolicy || nCores == 1,
+               "an injected policy drives one core, not %d", nCores);
 
-    // One core is exactly the single-core machine: context count
-    // follows the workload, as Simulator does. Multi-core chips have
-    // a fixed context capacity per core and threads move between
-    // cores, so capacity is part of the configuration.
-    nCtx = nCores == 1 ? nThreads : cfg.soc.contextsPerCore;
+    // One core is the paper's single-core machine: the context
+    // count follows the workload. Multi-core chips have a fixed
+    // context capacity per core and threads move between cores, so
+    // capacity is part of the configuration.
+    nCtx = nCores == 1 ? nThreads : soc.contextsPerCore;
     if (nCtx < 1 || nCtx > maxThreads) {
         fatal("contexts per core %d out of range (1..%d)", nCtx,
               maxThreads);
@@ -85,28 +106,32 @@ ChipSimulator::ChipSimulator(
               nThreads, nCores, nCtx, nCores * nCtx);
     }
 
-    buildChip(policyKind);
+    buildChip(cfg_, policyKind, std::move(customPolicy));
     prewarmChip();
 }
 
 ChipSimulator::~ChipSimulator()
 {
     stopTickWorkers();
+    // Free the cores' parts in reverse allocation order (pipeline,
+    // generators, policy, predictor, memory) before the bookkeeping;
+    // see buildChip for why the heap pattern matters.
+    for (Core &core : cores)
+        core.pipe.reset();
+    gens.clear();
+    for (Core &core : cores) {
+        core.pol.reset();
+        core.bpred.reset();
+        core.mem.reset();
+    }
 }
 
 void
-ChipSimulator::buildChip(PolicyKind policyKind)
+ChipSimulator::buildChip(const SimConfig &cfg, PolicyKind policyKind,
+                         std::unique_ptr<Policy> customPolicy)
 {
-    cfg.core.numThreads = nCtx;
-
-    // Generator seeds are per software thread — the same formula as
-    // Simulator, and stable across migrations: a thread keeps its
-    // stream no matter which core it runs on.
-    for (int s = 0; s < nThreads; ++s) {
-        const BenchProfile &prof = benchProfile(benchNames[s]);
-        gens.push_back(std::make_unique<SyntheticTraceGenerator>(
-            prof, cfg.seed + 7919ull * static_cast<std::uint64_t>(s)));
-    }
+    SmtConfig coreCfg = cfg.core;
+    coreCfg.numThreads = nCtx;
 
     if (nCores > 1) {
         SharedCacheParams lp = cfg.soc.llc;
@@ -128,29 +153,38 @@ ChipSimulator::buildChip(PolicyKind policyKind)
 
     // Initial placement: the allocator's cold-start decision (all
     // allocators spread by id, so cold start never differs between
-    // them). Contexts are handed out in thread-id order, so the
-    // occupied contexts of every core form a prefix.
+    // them; one core has nothing to decide). Contexts are handed out
+    // in thread-id order, so the occupied contexts of every core
+    // form a prefix.
+    //
+    // Chips are built and torn down many times per sweep or
+    // benchmark, so the single-core one allocates no temporaries and
+    // nothing but its placement before its parts (and ~ChipSimulator
+    // frees the parts in reverse): heap holes left behind let later
+    // small allocations unpin the heap top, and glibc then trims it
+    // and faults it back in on every construction (measured: 4x the
+    // page faults and ~2x the set-up time of five 4-thread
+    // machines).
     const ChipTopology topo{nCores, nCtx};
-    coreOf = alloc->allocate(
-        topo,
-        std::vector<ThreadPerfSample>(
-            static_cast<std::size_t>(nThreads)),
-        0);
+    coreOf = nCores == 1
+        ? std::vector<int>(static_cast<std::size_t>(nThreads), 0)
+        : alloc->allocate(topo,
+                          std::vector<ThreadPerfSample>(
+                              static_cast<std::size_t>(nThreads)),
+                          0);
     SMT_ASSERT(static_cast<int>(coreOf.size()) == nThreads,
                "allocator returned %zu placements for %d threads",
                coreOf.size(), nThreads);
     ctxOf.assign(static_cast<std::size_t>(nThreads), -1);
-    homes.resize(static_cast<std::size_t>(nThreads));
-    std::vector<int> nextCtx(static_cast<std::size_t>(nCores), 0);
     for (int s = 0; s < nThreads; ++s) {
         const int c = coreOf[s];
         SMT_ASSERT(c >= 0 && c < nCores, "bad initial core %d", c);
-        ctxOf[s] = nextCtx[c]++;
+        ctxOf[s] = static_cast<int>(
+            std::count(coreOf.begin(), coreOf.begin() + s, c));
         SMT_ASSERT(ctxOf[s] < nCtx, "core %d over capacity", c);
-        homes[s].core = c;
-        homes[s].ctx = ctxOf[s];
     }
 
+    gens.resize(static_cast<std::size_t>(nThreads));
     cores.resize(static_cast<std::size_t>(nCores));
     for (int c = 0; c < nCores; ++c) {
         Core &core = cores[c];
@@ -159,7 +193,19 @@ ChipSimulator::buildChip(PolicyKind policyKind)
             core.mem->attachLlc(llc.get(), c);
         core.bpred =
             std::make_unique<BranchPredictor>(cfg.bpred, nCtx);
-        core.pol = makePolicy(policyKind, cfg.policy);
+        core.pol = customPolicy ? std::move(customPolicy)
+                                : makePolicy(policyKind, cfg.policy);
+
+        // Generator seeds are per software thread and stable across
+        // migrations: a thread keeps its stream on every core. Each
+        // is allocated next to its first core's state.
+        for (int s = 0; s < nThreads; ++s) {
+            if (coreOf[s] == c) {
+                gens[s] = std::make_unique<SyntheticTraceGenerator>(
+                    benchProfile(benchNames[s]),
+                    cfg.seed + 7919ull * static_cast<std::uint64_t>(s));
+            }
+        }
 
         std::vector<Pipeline::ThreadProgram> programs(
             static_cast<std::size_t>(nCtx));
@@ -173,37 +219,40 @@ ChipSimulator::buildChip(PolicyKind policyKind)
                 static_cast<Addr>(s) * threadAddrStride;
         }
         core.pipe = std::make_unique<Pipeline>(
-            cfg.core, *core.mem, *core.bpred, *core.pol,
+            coreCfg, *core.mem, *core.bpred, *core.pol,
             std::move(programs));
     }
 
+    homes.resize(static_cast<std::size_t>(nThreads));
+    for (int s = 0; s < nThreads; ++s)
+        settleHome(s, coreOf[s], ctxOf[s]);
+
     intervalBase.assign(static_cast<std::size_t>(nThreads), {});
-    nextEpochAt = cfg.soc.epochCycles;
+    nextEpochAt = soc.epochCycles;
+}
+
+void
+ChipSimulator::settleHome(int thread, int core, int ctx)
+{
+    ThreadHome &h = homes[thread];
+    h.core = core;
+    h.ctx = ctx;
+    h.mem = cores[core].mem.get();
+    h.committedCtr = &cores[core].pipe->stats().committed[ctx];
+    h.attachAt = readCtx(core, ctx);
+    h.committedBias = h.accum.committed - h.attachAt.committed;
 }
 
 void
 ChipSimulator::prewarmChip()
 {
-    // Each core's private hierarchy is warmed exactly the way the
-    // single-core machine is (same helper, same order), over the
-    // threads initially placed on it.
-    for (int c = 0; c < nCores; ++c) {
-        std::vector<std::string> benches;
-        std::vector<Addr> bases;
-        for (int s = 0; s < nThreads; ++s) {
-            if (coreOf[s] != c)
-                continue;
-            benches.push_back(benchNames[s]);
-            bases.push_back(static_cast<Addr>(s) *
-                            threadAddrStride);
-        }
-        prewarmMemory(*cores[c].mem, benches, bases);
-    }
+    for (int c = 0; c < nCores; ++c)
+        prewarmCore(c);
 
     // The shared LLC starts holding every thread's near/mid/code
     // regions (the same regions the private L2s hold).
     if (llc) {
-        const int line = cfg.mem.l1d.lineSize;
+        const int line = cores[0].mem->params().l1d.lineSize;
         for (int s = 0; s < nThreads; ++s) {
             const Addr base =
                 static_cast<Addr>(s) * threadAddrStride;
@@ -220,6 +269,64 @@ ChipSimulator::prewarmChip()
         }
         llc->resetStats();
     }
+}
+
+void
+ChipSimulator::prewarmCore(int c)
+{
+    // Traces stand for the middle of a long-running execution
+    // (SimPoint-style), so the frequently reused regions -- code,
+    // the near data set, and the L2-resident mid set -- start
+    // resident, as they would be hundreds of millions of
+    // instructions in. The far/stream regions stay cold on purpose:
+    // missing on them *is* their steady state. The core's threads
+    // are visited in thread-id order, which is their context order.
+    MemorySystem &mem = *cores[c].mem;
+    const Addr line = static_cast<Addr>(mem.params().l1d.lineSize);
+    const Addr page = mem.params().dtlb.pageBytes;
+    const auto base = [](int s) {
+        return static_cast<Addr>(s) * threadAddrStride;
+    };
+
+    // Fill order matters when the combined footprints exceed the L2:
+    // least-critical first (mid), code last, and code interleaved
+    // across threads so no thread's working set is wiped wholesale.
+    for (int s = 0; s < nThreads; ++s) {
+        if (coreOf[s] != c)
+            continue;
+        const BenchProfile &prof = benchProfile(benchNames[s]);
+        for (Addr off = 0; off < prof.midBytes; off += line)
+            mem.l2().fill(base(s) + layout::midBase + off);
+        for (Addr off = 0; off < prof.midBytes; off += page)
+            mem.dtlb(ctxOf[s]).access(base(s) + layout::midBase + off);
+    }
+    Addr maxCode = 0;
+    for (int s = 0; s < nThreads; ++s) {
+        if (coreOf[s] != c)
+            continue;
+        const BenchProfile &prof = benchProfile(benchNames[s]);
+        for (Addr off = 0; off < prof.nearBytes; off += line) {
+            const Addr a = base(s) + layout::nearBase + off;
+            mem.l1d().fill(a);
+            mem.l2().fill(a);
+        }
+        for (Addr off = 0; off < prof.nearBytes; off += page)
+            mem.dtlb(ctxOf[s]).access(base(s) + layout::nearBase + off);
+        for (Addr off = 0; off < prof.codeFootprint; off += page)
+            mem.itlb(ctxOf[s]).access(base(s) + layout::codeBase + off);
+        maxCode = std::max(maxCode, prof.codeFootprint);
+    }
+    for (Addr off = 0; off < maxCode; off += line) {
+        for (int s = 0; s < nThreads; ++s) {
+            if (coreOf[s] != c ||
+                off >= benchProfile(benchNames[s]).codeFootprint)
+                continue;
+            const Addr a = base(s) + layout::codeBase + off;
+            mem.l1i().fill(a);
+            mem.l2().fill(a);
+        }
+    }
+    mem.resetStats();
 }
 
 ChipSimulator::CtxTotals
@@ -252,7 +359,7 @@ ChipSimulator::totalsOf(int thread) const
 }
 
 void
-ChipSimulator::tickAllCores()
+ChipSimulator::tickAllCoresTimedOrParallel()
 {
     ++cycle;
     // Decide once, on the main thread, whether this chip cycle's
@@ -339,7 +446,7 @@ ChipSimulator::workerLoop(int w)
 void
 ChipSimulator::startTickWorkers()
 {
-    int w = cfg.soc.chipJobs;
+    int w = soc.chipJobs;
     if (w <= 0)
         w = static_cast<int>(std::thread::hardware_concurrency());
     w = std::min(std::max(w, 1), nCores);
@@ -416,18 +523,23 @@ ChipSimulator::setTelemetry(TelemetryHub *hub)
     telem = hub;
     if (!telem)
         return;
-    allocTrack = telem->track("alloc");
+    // One core has no allocator to trace and nowhere to migrate to:
+    // its pipeline's channels (per-thread IPC included) are
+    // registered unprefixed and the core0 track is the only one.
+    const bool multi = nCores > 1;
+    if (multi)
+        allocTrack = telem->track("alloc");
     coreTracks.clear();
     for (int c = 0; c < nCores; ++c) {
         coreTracks.push_back(
             telem->track("core" + std::to_string(c)));
         cores[c].pipe->registerTelemetry(
-            *telem, "c" + std::to_string(c) + ".");
+            *telem, multi ? "c" + std::to_string(c) + "." : "");
     }
     // Software threads migrate between cores, so chip-level
     // per-thread IPC reads the migration-proof committed totals, not
     // any one pipeline's counters.
-    for (int s = 0; s < nThreads; ++s) {
+    for (int s = 0; multi && s < nThreads; ++s) {
         telem->rate("t" + std::to_string(s) + ".ipc",
                     [this, s] { return committedOf(s); });
     }
@@ -439,6 +551,13 @@ ChipSimulator::setTelemetry(TelemetryHub *hub)
 void
 ChipSimulator::setHostProfiler(HostProfiler *prof)
 {
+    if (nCores == 1) {
+        // The single-core machine: the pipeline's own unprefixed
+        // stage scopes are the whole profile (no epochs, no
+        // migrations, no per-core tick timing to add).
+        cores[0].pipe->setHostProfiler(prof, "");
+        return;
+    }
     hprof = prof;
     hprofTickN = 0;
     hprofSample = false;
@@ -473,6 +592,7 @@ ChipSimulator::resetAllStats()
     for (ThreadHome &h : homes) {
         h.accum = {};
         h.attachAt = {};
+        h.committedBias = 0;
     }
     std::fill(intervalBase.begin(), intervalBase.end(), CtxTotals{});
     intervalStart = cycle;
@@ -579,7 +699,7 @@ ChipSimulator::runEpoch()
 
     pendingPlacement = canon;
     migrating = true;
-    drainDeadline = cycle + cfg.soc.drainTimeout;
+    drainDeadline = cycle + soc.drainTimeout;
     if (telem) {
         telem->event(allocTrack, cycle, "realloc-confirmed",
                      "{\"epoch\": " + std::to_string(epoch) +
@@ -646,9 +766,7 @@ ChipSimulator::completeMigration()
 
         coreOf[s] = c;
         ctxOf[s] = ctx;
-        homes[s].core = c;
-        homes[s].ctx = ctx;
-        homes[s].attachAt = readCtx(c, ctx);
+        settleHome(s, c, ctx);
         ++nMigrations;
     }
 
@@ -656,6 +774,25 @@ ChipSimulator::completeMigration()
     pendingPlacement.clear();
     if (auditPeriod)
         auditInvariants();
+}
+
+bool
+ChipSimulator::reached(std::uint64_t limit, Cycle &quiet) const
+{
+    // A core commits at most commitWidth instructions a cycle, so a
+    // thread `left` commits short of the limit cannot reach it in
+    // the next ceil(left / width) - 1 cycles. The run loop skips the
+    // check for that many and still stops on exactly the cycle a
+    // per-cycle check would.
+    std::uint64_t left = ~0ull;
+    for (int s = 0; s < nThreads; ++s) {
+        const std::uint64_t c = committedOf(s);
+        if (c >= limit)
+            return true;
+        left = std::min(left, limit - c);
+    }
+    quiet = (left - 1) / static_cast<std::uint64_t>(commitWidth);
+    return false;
 }
 
 SimResult
@@ -666,8 +803,7 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
 
     // The epoch/migration machinery runs in warmup and measurement
     // alike (it is machine behaviour, not a statistic); with one
-    // core there is nowhere to move, so it is skipped entirely and
-    // this loop is exactly Simulator::run's.
+    // core there is nowhere to move, so it is skipped entirely.
     auto chipWork = [this]() {
         if (nCores <= 1)
             return;
@@ -680,27 +816,28 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
             }
             if (allIdle || cycle >= drainDeadline)
                 completeMigration();
-        } else if (cfg.soc.epochCycles > 0 && cycle >= nextEpochAt) {
-            nextEpochAt = cycle + cfg.soc.epochCycles;
+        } else if (soc.epochCycles > 0 && cycle >= nextEpochAt) {
+            nextEpochAt = cycle + soc.epochCycles;
             runEpoch();
         }
         if (auditPeriod && cycle % auditPeriod == 0)
             auditInvariants();
     };
 
+    // Cycles the first-to-the-limit check may skip (see reached()).
+    Cycle quiet = 0;
     if (warmupCommits > 0) {
         bool warm = false;
         while (!warm && cycle < maxCycles) {
             tickAllCores();
             chipWork();
-            for (int s = 0; s < nThreads; ++s) {
-                if (committedOf(s) >= warmupCommits) {
-                    warm = true;
-                    break;
-                }
-            }
+            if (quiet > 0)
+                --quiet;
+            else
+                warm = reached(warmupCommits, quiet);
         }
         resetAllStats();
+        quiet = 0;
     }
 
     const Cycle statsStart = cycle;
@@ -708,8 +845,9 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
         static_cast<std::size_t>(nThreads) + 1, 0);
     Histogram mlp(64);
 
-    if (telem)
-        telem->beginSampling(cycle);
+    TelemetryHub *const hub = telem;
+    if (hub)
+        hub->beginSampling(cycle);
 
     bool done = false;
     while (!done && cycle < maxCycles) {
@@ -718,15 +856,15 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
 
         int nSlow = 0;
         for (int s = 0; s < nThreads; ++s) {
-            const bool slow =
-                cores[coreOf[s]].mem->pendingL1DLoads(ctxOf[s]) > 0;
+            const ThreadHome &h = homes[s];
+            const bool slow = h.mem->pendingL1DLoads(h.ctx) > 0;
             if (slow)
                 ++nSlow;
-            if (telem &&
+            if (hub &&
                 slow != telemSlow[static_cast<std::size_t>(s)]) {
                 telemSlow[static_cast<std::size_t>(s)] = slow;
-                telem->event(
-                    coreTracks[static_cast<std::size_t>(coreOf[s])],
+                hub->event(
+                    coreTracks[static_cast<std::size_t>(h.core)],
                     cycle, slow ? "phase-slow" : "phase-fast",
                     "{\"thread\": " + std::to_string(s) + "}");
             }
@@ -738,15 +876,13 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
                 core.mem->outstandingMemLoads());
         }
         mlp.sample(memLoads);
-        if (telem)
-            telem->tick(cycle);
+        if (hub)
+            hub->tick(cycle);
 
-        for (int s = 0; s < nThreads; ++s) {
-            if (committedOf(s) >= commitLimit) {
-                done = true;
-                break;
-            }
-        }
+        if (quiet > 0)
+            --quiet;
+        else
+            done = reached(commitLimit, quiet);
     }
 
     stopTickWorkers();

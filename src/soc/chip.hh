@@ -13,10 +13,12 @@
  * bit-reproducible (and independent of any host parallelism in the
  * sweep runner, which runs whole chips per job).
  *
- * A 1-core chip *is* the single-core machine: same construction,
- * same prewarm, same run loop, no LLC interposed — ChipSimulator
- * with numCores == 1 reproduces Simulator's results byte for byte
- * (pinned by the golden equality test).
+ * A 1-core chip is the paper's single-core machine (Simulator is
+ * an alias of this class): the context count follows the workload,
+ * no LLC is interposed, the allocator never runs, and telemetry
+ * channels and profiler scopes carry no "c<N>." prefix. The
+ * single-core goldens (test_golden_stats, test_issue_wakeup) pin
+ * its numbers.
  */
 
 #ifndef DCRA_SMT_SOC_CHIP_HH
@@ -33,7 +35,7 @@
 #include "mem/memory_system.hh"
 #include "mem/shared_cache.hh"
 #include "policy/factory.hh"
-#include "sim/simulator.hh"
+#include "sim/sim_config.hh"
 #include "soc/allocator.hh"
 #include "soc/tick_wavefront.hh"
 #include "trace/generator.hh"
@@ -42,16 +44,15 @@ namespace smt {
 
 /**
  * One chip-level simulation instance. Construct, run once, read the
- * result (same one-shot contract as Simulator).
+ * result.
  */
 class ChipSimulator
 {
   public:
     /**
      * @param cfg full configuration; cfg.soc shapes the chip. With
-     *        numCores == 1 the context count is forced to the
-     *        workload size (exactly what Simulator does) and no LLC
-     *        is interposed.
+     *        numCores == 1 the context count is the workload size
+     *        and no LLC is interposed.
      * @param benches one profile name per software thread; at most
      *        numCores x contextsPerCore.
      * @param policyKind intra-core policy, instantiated per core.
@@ -66,13 +67,24 @@ class ChipSimulator
                   PolicyKind policyKind,
                   std::unique_ptr<ThreadToCoreAllocator> allocator);
 
+    /**
+     * A 1-core machine driven by a user-provided policy instance
+     * (see examples/custom_policy.cpp); cfg.soc.numCores must be 1,
+     * since one instance cannot arbitrate several cores.
+     */
+    ChipSimulator(const SimConfig &cfg,
+                  const std::vector<std::string> &benches,
+                  std::unique_ptr<Policy> customPolicy);
+
     ~ChipSimulator();
 
     /**
      * Run until the first software thread commits commitLimit
-     * instructions or maxCycles elapse — the same termination rule,
-     * warmup handling and phase/MLP sampling as Simulator::run, so
-     * the single-core configuration is byte-identical.
+     * instructions or maxCycles elapse.
+     *
+     * @param warmupCommits commits (first thread) executed before
+     *        statistics collection starts; caches, predictors and
+     *        policy state stay warm across the reset.
      */
     SimResult run(std::uint64_t commitLimit,
                   Cycle maxCycles = 50'000'000,
@@ -91,7 +103,10 @@ class ChipSimulator
      * phase transitions as events. All emissions happen on the main
      * thread between cycles, or inside the LLC access stream whose
      * total order the wavefront gate reproduces, so the files are
-     * byte-identical for every --chip-jobs value. Call before run().
+     * byte-identical for every --chip-jobs value. A 1-core chip
+     * registers its pipeline's channels unprefixed and only the
+     * "core0" event track (no "alloc" track, no chip-level IPC).
+     * Call before run().
      */
     void setTelemetry(TelemetryHub *hub);
 
@@ -104,8 +119,9 @@ class ChipSimulator
      * scopes and the main thread's await scope, and stopTickWorkers
      * harvests the per-core gate-wait records. Core ticks are timed
      * on 1 in prof->sampleEvery() chip cycles (all cores sample the
-     * same cycles). Host times never touch SimResult. Call before
-     * run().
+     * same cycles). Host times never touch SimResult. A 1-core
+     * chip registers only its pipeline's unprefixed stage scopes
+     * ("stage.fetch", ...). Call before run().
      */
     void setHostProfiler(HostProfiler *prof);
 
@@ -113,8 +129,9 @@ class ChipSimulator
     /** @{ */
     int numCores() const { return nCores; }
     int contextsPerCore() const { return nCtx; }
-    Pipeline &pipeline(int core) { return *cores[core].pipe; }
-    MemorySystem &memory(int core) { return *cores[core].mem; }
+    Pipeline &pipeline(int core = 0) { return *cores[core].pipe; }
+    MemorySystem &memory(int core = 0) { return *cores[core].mem; }
+    Policy &policy(int core = 0) { return *cores[core].pol; }
     SharedCache *llcOrNull() { return llc.get(); }
     /** Core each software thread currently runs on. */
     const std::vector<int> &placement() const { return coreOf; }
@@ -163,15 +180,52 @@ class ChipSimulator
     /** Where a software thread lives and what it accrued. */
     struct ThreadHome
     {
+        /** @name Run-loop probes (set by settleHome)
+         * The run loop reads these for every thread every cycle, so
+         * they sit first and need no lookup through cores[]. */
+        /** @{ */
+        const std::uint64_t *committedCtr = nullptr; //!< home ctx's
+        /** accum.committed - attachAt.committed (mod 2^64). */
+        std::uint64_t committedBias = 0;
+        const MemorySystem *mem = nullptr;
         int core = 0;
         int ctx = 0;
+        /** @} */
         CtxTotals accum;    //!< totals from previous homes
         CtxTotals attachAt; //!< current home's counters at attach
     };
 
-    void buildChip(PolicyKind policyKind);
+    /** Private constructor behind the public ones; customPolicy,
+     *  when set, replaces the policyKind instance (1 core only). */
+    ChipSimulator(const SimConfig &cfg,
+                  const std::vector<std::string> &benches,
+                  PolicyKind policyKind,
+                  std::unique_ptr<Policy> customPolicy,
+                  std::unique_ptr<ThreadToCoreAllocator> allocator);
+
+    void buildChip(const SimConfig &cfg, PolicyKind policyKind,
+                   std::unique_ptr<Policy> customPolicy);
+    /** Make (core, ctx) thread's home: point the run-loop probes at
+     *  it and snapshot its counters as the attach baseline. */
+    void settleHome(int thread, int core, int ctx);
+    /** Pre-load the caches/TLBs (private ones and the LLC) with the
+     *  hot regions of every thread's initial placement. */
     void prewarmChip();
-    void tickAllCores();
+    void prewarmCore(int core);
+    /** Advance every core one cycle. The serial, unprofiled case
+     *  is inline: it is the run loop's whole per-cycle tick. */
+    void
+    tickAllCores()
+    {
+        if (wavefront || hprof) {
+            tickAllCoresTimedOrParallel();
+            return;
+        }
+        ++cycle;
+        for (Core &core : cores)
+            core.pipe->tick();
+    }
+    void tickAllCoresTimedOrParallel();
     void resetAllStats();
 
     /** @name Parallel tick (cfg.soc.chipJobs > 1)
@@ -198,10 +252,15 @@ class ChipSimulator
     committedOf(int thread) const
     {
         const ThreadHome &h = homes[thread];
-        return h.accum.committed +
-            cores[h.core].pipe->stats().committed[h.ctx] -
-            h.attachAt.committed;
+        return *h.committedCtr + h.committedBias;
     }
+
+    /**
+     * Has some thread committed @p limit instructions? When not,
+     * sets @p quiet to the number of following cycles in which none
+     * can get there, so the run loop need not ask again sooner.
+     */
+    bool reached(std::uint64_t limit, Cycle &quiet) const;
 
     /** Collect interval metrics and consult the allocator; starts a
      *  migration (drain phase) when the placement changes. */
@@ -209,7 +268,12 @@ class ChipSimulator
     /** Detach every drained mover and attach it to its new home. */
     void completeMigration();
 
-    SimConfig cfg;
+    /** @name What run() consults of the configuration
+     * Construction consumes the rest (see buildChip). */
+    /** @{ */
+    SocParams soc;
+    int commitWidth = 0;
+    /** @} */
     std::vector<std::string> benchNames;
     int nThreads;
     int nCores;

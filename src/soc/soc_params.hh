@@ -39,8 +39,8 @@ struct SocParams
 
     /**
      * Hardware contexts per core in multi-core mode. With one core
-     * the context count always equals the workload's thread count
-    *  (matching what Simulator does), so this field is ignored.
+     * the context count always equals the workload's thread count,
+     * so this field is ignored.
      */
     int contextsPerCore = 4;
 

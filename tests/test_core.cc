@@ -42,6 +42,20 @@ TEST(SmtConfig, ResourceTotals)
     EXPECT_EQ(c.resourceTotal(ResRegFp), 352 - 4 * 40);
 }
 
+TEST(SmtConfig, ProblemNamesWhatCannotBeBuilt)
+{
+    SmtConfig c; // paper baseline builds
+    EXPECT_EQ(c.problem(), "");
+    c.physRegsPerFile = 160; // 4 threads x 40 architectural: none left
+    EXPECT_NE(c.problem().find("no rename registers"), std::string::npos);
+    c = SmtConfig();
+    c.iqSize[1] = 0;
+    EXPECT_NE(c.problem().find("at least 1"), std::string::npos);
+    c = SmtConfig();
+    c.numThreads = maxThreads + 1;
+    EXPECT_NE(c.problem().find("out of range"), std::string::npos);
+}
+
 TEST(Resources, QueueMapping)
 {
     EXPECT_EQ(iqResource(QueueClass::IntQ), ResIqInt);

@@ -271,6 +271,23 @@ TEST(BaselineCache, NumThreadsDoesNotSplitTheKey)
     EXPECT_EQ(cache.computeCount(), 1u);
 }
 
+TEST(BaselineCache, ChipShapeDoesNotChangeTheBaseline)
+{
+    // The key leaves cfg.soc out, so the baseline must be the bench
+    // alone on the single-core machine whatever chip the sweep point
+    // simulates: two unshared caches, one fed a 2-core config, must
+    // agree bit for bit.
+    SimConfig one;
+    SimConfig two;
+    two.soc.numCores = 2;
+    two.soc.contextsPerCore = 2;
+    BaselineCache a;
+    BaselineCache b;
+    const double ipc1 = a.ipc(one, "mcf", 2000, 500);
+    EXPECT_GT(ipc1, 0.0);
+    EXPECT_TRUE(ipc1 == b.ipc(two, "mcf", 2000, 500)); // bitwise
+}
+
 TEST(BaselineCache, FailedComputeIsRetriedNotPoisoned)
 {
     std::atomic<int> calls{0};

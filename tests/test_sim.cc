@@ -213,6 +213,26 @@ TEST(Experiment, RunWorkloadFillsSummary)
         EXPECT_LE(s.multiIpc[i], s.singleIpc[i] * 1.3);
 }
 
+TEST(Experiment, RunWorkloadIgnoresTheChipShape)
+{
+    // ExperimentContext is a single-core harness: a base config
+    // asking for a 2-core chip still runs (and baselines) one core.
+    SimConfig cfg;
+    cfg.seed = 8;
+    SimConfig chip = cfg;
+    chip.soc.numCores = 2;
+    chip.soc.contextsPerCore = 1;
+    const Workload w = workloadsOf(2, WorkloadType::MIX)[0];
+    const RunSummary a =
+        ExperimentContext(cfg, 3000).runWorkload(w, PolicyKind::Dcra);
+    const RunSummary b =
+        ExperimentContext(chip, 3000).runWorkload(w, PolicyKind::Dcra);
+    EXPECT_EQ(a.raw.cycles, b.raw.cycles);
+    EXPECT_TRUE(a.throughput == b.throughput); // bitwise
+    EXPECT_TRUE(a.hmean == b.hmean);
+    EXPECT_TRUE(b.raw.coreCommitHashes.empty());
+}
+
 TEST(Experiment, CellAverageAveragesFourGroups)
 {
     SimConfig cfg;

@@ -2,15 +2,23 @@
  * @file
  * smtsim: command-line driver for the simulator.
  *
- * Two modes:
+ * Three modes, one option table (kOptions below: name, value kind,
+ * range, modes, help text and the SweepSpec field each option sets;
+ * --help and every value check are generated from it):
  *
  *  - single run (default): one workload under one policy with the
  *    paper's baseline configuration (overridable); prints a full
  *    per-thread report, or the sweep JSON schema with --json.
  *  - `smtsim sweep`: a declarative grid of workloads x policies x
- *    config overrides executed in parallel across host cores by the
+ *    config axes executed in parallel across host cores by the
  *    runner subsystem (src/runner/), emitted as a table, CSV or
  *    JSON. Parallel output is bit-identical to --jobs 1.
+ *  - `smtsim prof-report`: aggregate --prof sidecar files.
+ *
+ * A single run is a one-job sweep: both modes fill one SweepSpec,
+ * pass the same boundary checks (every job of the grid is checked
+ * before the first one starts) and execute through SweepRunner; the
+ * run mode then renders its report from the job's SimResult.
  *
  * Examples:
  *   smtsim --workload gzip,mcf --policy DCRA
@@ -26,12 +34,15 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,7 +58,6 @@
 #include "runner/runner.hh"
 #include "sim/simulator.hh"
 #include "sim/workload.hh"
-#include "soc/chip.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/bench_profile.hh"
 
@@ -55,151 +65,602 @@ namespace {
 
 using namespace smt;
 
+// ---------------------------------------------------------------
+// The option table
+// ---------------------------------------------------------------
+
+/** Which command an option belongs to (a bit set). */
+enum Mode : unsigned {
+    Run = 1,    //!< `smtsim [options]`
+    Sweep = 2,  //!< `smtsim sweep [options]`
+    Report = 4, //!< `smtsim prof-report [options] FILE...`
+    Both = Run | Sweep
+};
+
+/** What an option's value looks like. */
+enum class Kind {
+    Flag, //!< no value
+    Num,  //!< plain decimal integer within [lo, hi]
+    Text  //!< non-empty string, checked by the setter
+};
+
+/**
+ * The config axes a sweep multiplies out, outermost first: sweep
+ * configs and their labels follow this order.
+ */
+enum Axis { AxCores, AxAlloc, AxLlcArb, AxLlcWays, AxMem, AxL2,
+            AxRegs, AxIq, NumAxes };
+
+/** One point on a config axis: its label part and what it sets. */
+struct AxisPoint
+{
+    std::string label; //!< e.g. "mem=300"
+    std::function<void(ConfigOverride &)> set;
+};
+
+/** Everything the command line asks for. */
+struct Cli
+{
+    Mode mode = Run;
+    SweepSpec spec;
+    RunnerOptions ropts;
+    std::vector<AxisPoint> axes[NumAxes];
+    std::vector<std::string> workload = {"gzip", "twolf"}; //!< run
+    PolicyKind policy = PolicyKind::Dcra;                   //!< run
+    std::uint64_t statsInterval = 0; //!< 0 = not given
+    bool json = false;
+    std::string format = "table";
+    std::string outPath;
+    int jobs = 0;
+    int (*action)() = nullptr; //!< --help, --list-*, --selftest
+    ProfReportOptions report;
+    std::vector<std::string> files; //!< prof-report inputs
+};
+
+/** One parsed value: the text (canonical decimal for Kind::Num)
+ *  and the number. */
+struct Value
+{
+    std::string text;
+    std::uint64_t num = 0;
+};
+
+/** A command-line option. */
+struct Option
+{
+    const char *name;
+    const char *metavar; //!< nullptr for flags
+    unsigned modes;
+    Kind kind;
+    /** In a sweep the value is a comma list and set() runs once per
+     *  element; a single run takes exactly one element. */
+    bool list;
+    std::uint64_t lo, hi; //!< Kind::Num range
+    const char *help;
+    /** Apply one checked value; false after reporting an error. */
+    bool (*set)(Cli &, const Value &);
+};
+
+constexpr std::uint64_t kMax = ~0ull;
+constexpr std::uint64_t kIntMax = INT_MAX;
+
+int usage();
+int selftest();
+int listBenchmarks();
+int listWorkloads();
+int listPolicies();
+int listArbiters();
+
+std::vector<std::string> splitOn(const std::string &s, char sep);
+
+/** Add the point "key=value" to config axis @p a: it sets the
+ *  override field @p field to @p x. */
+template <typename T, typename X>
 void
+addPoint(Cli &c, Axis a, const char *key, const std::string &value,
+         std::optional<T> ConfigOverride::*field, X x)
+{
+    c.axes[a].push_back(
+        {std::string(key) + "=" + value,
+         [field, x](ConfigOverride &o) { o.*field = x; }});
+}
+
+/**
+ * An ad-hoc workload still to be checked: validateJobs reports bad
+ * names and sizes before adHocWorkload (which calls fatal() on an
+ * unknown name) types it.
+ */
+Workload
+rawWorkload(const std::vector<std::string> &benches)
+{
+    Workload w{};
+    w.benches = benches;
+    return w;
+}
+
+/** Append the four groups of a Table 4 cell such as "MEM2". */
+bool
+addCell(Cli &c, const Value &v)
+{
+    static const struct
+    {
+        const char *prefix;
+        WorkloadType type;
+    } kinds[] = {{"ILP", WorkloadType::ILP},
+                 {"MIX", WorkloadType::MIX},
+                 {"MEM", WorkloadType::MEM}};
+    const std::string &cell = v.text;
+    const std::string digits = cell.size() > 3 ? cell.substr(3) : "";
+    for (const auto &k : kinds) {
+        if (cell.compare(0, 3, k.prefix) != 0 || digits.size() != 1 ||
+            digits[0] < '1' || digits[0] > '9')
+            continue;
+        const std::vector<Workload> group =
+            workloadsOf(digits[0] - '0', k.type);
+        if (group.empty())
+            break;
+        c.spec.workloads.insert(c.spec.workloads.end(), group.begin(),
+                                group.end());
+        return true;
+    }
+    std::fprintf(stderr,
+                 "error: bad cell '%s' (want ILP, MIX or MEM and a "
+                 "thread count with workloads, e.g. ILP2, MIX3, "
+                 "MEM4)\n",
+                 cell.c_str());
+    return false;
+}
+
+bool
+addTable4Workload(Cli &c, const Value &v)
+{
+    const std::vector<Workload> &all = allWorkloads();
+    const auto it =
+        std::find_if(all.begin(), all.end(),
+                     [&](const Workload &w) { return w.id == v.text; });
+    if (it == all.end()) {
+        std::fprintf(stderr,
+                     "error: unknown workload id '%s' (run 'smtsim "
+                     "--list-workloads')\n",
+                     v.text.c_str());
+        return false;
+    }
+    c.spec.workloads.push_back(*it);
+    return true;
+}
+
+bool
+addAllocator(Cli &c, const Value &v)
+{
+    const AllocatorKind k = parseAllocatorKind(v.text);
+    addPoint(c, AxAlloc, "alloc", allocatorKindName(k),
+             &ConfigOverride::allocator, k);
+    return true;
+}
+
+bool
+addLlcArbiter(Cli &c, const Value &v)
+{
+    if (!isLlcArbiterName(v.text)) {
+        std::fprintf(stderr,
+                     "error: unknown LLC arbiter '%s' (run 'smtsim "
+                     "--list-arbiters')\n",
+                     v.text.c_str());
+        return false;
+    }
+    addPoint(c, AxLlcArb, "llcarb", v.text, &ConfigOverride::llcArbiter,
+             v.text);
+    return true;
+}
+
+bool
+addLlcWays(Cli &c, const Value &v)
+{
+    if (!isPow2(v.num)) {
+        std::fprintf(stderr,
+                     "error: --llc-ways wants a power of two in 1..32 "
+                     "(got %llu); the LLC's set count must stay a "
+                     "power of two\n",
+                     static_cast<unsigned long long>(v.num));
+        return false;
+    }
+    addPoint(c, AxLlcWays, "llcways", v.text, &ConfigOverride::llcWays,
+             static_cast<int>(v.num));
+    return true;
+}
+
+/** A setter that assigns and cannot fail. */
+#define SMT_SET(stmt)                                                 \
+    [](Cli &c, const Value &v) {                                      \
+        (void)v;                                                      \
+        stmt;                                                         \
+        return true;                                                  \
+    }
+
+// clang-format off
+const Option kOptions[] = {
+    // What to simulate.
+    {"--workload", "a,b,c", Run, Kind::Text, false, 0, 0,
+     "benchmarks, one per hardware context (default gzip,twolf)",
+     SMT_SET(c.workload = splitOn(v.text, ','))},
+    {"--policy", "NAME", Run, Kind::Text, false, 0, 0,
+     "fetch/allocation policy (default DCRA; see --list-policies)",
+     SMT_SET(c.policy = parsePolicyKind(v.text))},
+    {"--benches", "a+b,c+d", Sweep, Kind::Text, true, 0, 0,
+     "ad-hoc workloads; '+' joins the threads of one workload",
+     SMT_SET(c.spec.workloads.push_back(rawWorkload(splitOn(v.text, '+'))))},
+    {"--workloads", "ID,..", Sweep, Kind::Text, true, 0, 0,
+     "paper Table 4 workload ids, e.g. MEM2.g1 (see --list-workloads)",
+     addTable4Workload},
+    {"--cells", "MEM2,..", Sweep, Kind::Text, true, 0, 0,
+     "all four groups of a Table 4 workload cell", addCell},
+    {"--policies", "A,B", Sweep, Kind::Text, true, 0, 0,
+     "policies to sweep (default ICOUNT,DCRA)",
+     SMT_SET(c.spec.policies.push_back(parsePolicyKind(v.text)))},
+    // Run budget.
+    {"--commits", "N", Both, Kind::Num, false, 0, kMax,
+     "first-thread commit budget (default 100000; sweep 60000)",
+     SMT_SET(c.spec.commits = v.num)},
+    {"--warmup", "N", Both, Kind::Num, false, 0, kMax,
+     "commits executed before measuring (default 10000)",
+     SMT_SET(c.spec.warmup = v.num)},
+    {"--seed", "N", Both, Kind::Num, false, 0, kMax,
+     "workload generation seed", SMT_SET(c.spec.base.seed = v.num)},
+    // The core and its memory hierarchy; the sweep's config axes.
+    {"--mem-latency", "N", Both, Kind::Num, true, 0, 1000,
+     "main-memory latency in cycles",
+     SMT_SET(addPoint(c, AxMem, "mem", v.text, &ConfigOverride::memLatency,
+                      v.num))},
+    {"--l2-latency", "N", Both, Kind::Num, true, 0, 500,
+     "L2 access latency in cycles",
+     SMT_SET(addPoint(c, AxL2, "l2", v.text, &ConfigOverride::l2Latency,
+                      v.num))},
+    {"--regs", "N", Both, Kind::Num, true, 1, 4096,
+     "physical registers per file (more than 40 per context)",
+     SMT_SET(addPoint(c, AxRegs, "regs", v.text,
+                      &ConfigOverride::physRegsPerFile,
+                      static_cast<int>(v.num)))},
+    {"--iq", "N", Both, Kind::Num, true, 1, 4096,
+     "entries per issue queue",
+     SMT_SET(addPoint(c, AxIq, "iq", v.text, &ConfigOverride::iqSize,
+                      static_cast<int>(v.num)))},
+    {"--perfect-dcache", nullptr, Both, Kind::Flag, false, 0, 0,
+     "all data accesses hit L1",
+     SMT_SET(c.spec.base.mem.perfectDcache = true)},
+    // The chip.
+    {"--cores", "N", Both, Kind::Num, true, 1, 64,
+     "SMT cores on the chip (default 1 = the paper's machine)",
+     SMT_SET(addPoint(c, AxCores, "cores", v.text, &ConfigOverride::numCores,
+                      static_cast<int>(v.num)))},
+    {"--contexts", "N", Both, Kind::Num, false, 1, maxThreads,
+     "hardware contexts per core when cores > 1 (default 4)",
+     SMT_SET(c.spec.base.soc.contextsPerCore = static_cast<int>(v.num))},
+    {"--allocator", "NAME", Both, Kind::Text, true, 0, 0,
+     "thread-to-core allocator: round-robin symbiosis synpa",
+     addAllocator},
+    {"--epoch", "N", Both, Kind::Num, false, 0, kMax,
+     "cycles between reallocations (0 disables; default 20000)",
+     SMT_SET(c.spec.base.soc.epochCycles = v.num)},
+    {"--llc-arbiter", "NAME", Both, Kind::Text, true, 0, 0,
+     "shared-LLC arbiter: static chip-dcra way-equal way-util",
+     addLlcArbiter},
+    {"--llc-ways", "N", Both, Kind::Num, true, 1, 32,
+     "LLC associativity, a power of two (way partitioning)",
+     addLlcWays},
+    {"--chip-jobs", "N", Both, Kind::Num, false, 0, 1024,
+     "host threads ticking one chip's cores (1 = serial, 0 = one per "
+     "host thread); results are byte-identical for every value",
+     SMT_SET(c.spec.base.soc.chipJobs = static_cast<int>(v.num))},
+    // Outputs.
+    {"--json", nullptr, Run, Kind::Flag, false, 0, 0,
+     "emit the sweep JSON schema instead of the report",
+     SMT_SET(c.json = true)},
+    {"--format", "F", Sweep, Kind::Text, false, 0, 0,
+     "table | csv | json (default table)", SMT_SET(c.format = v.text)},
+    {"--output", "FILE", Sweep, Kind::Text, false, 0, 0,
+     "write to FILE instead of stdout", SMT_SET(c.outPath = v.text)},
+    {"--trace-out", "PREFIX", Both, Kind::Text, false, 0, 0,
+     "record telemetry: PREFIX.job<i>.ts.ndjson (time series) and "
+     "PREFIX.job<i>.trace.json (Chrome trace, loadable in Perfetto); "
+     "a sweep's JSON becomes smtsim-sweep-v2",
+     SMT_SET(c.spec.telemetry.tracePrefix = v.text)},
+    {"--ts-out", "PREFIX", Both, Kind::Text, false, 0, 0,
+     "record the time series alone: PREFIX.job<i>.ts.ndjson",
+     SMT_SET(c.spec.telemetry.tsPrefix = v.text)},
+    {"--stats-interval", "N", Both, Kind::Num, false, 1, kMax,
+     "cycles between telemetry samples (default 10000; needs "
+     "--trace-out or --ts-out)", SMT_SET(c.statsInterval = v.num)},
+    {"--prof", "PREFIX", Both, Kind::Text, false, 0, 0,
+     "host wall-clock profiling: PREFIX.job<i>.prof.ndjson per job "
+     "plus PREFIX.runner.prof.ndjson (host data, nondeterministic; "
+     "simulation output is unchanged); with --trace-out, host spans "
+     "are merged into the Perfetto trace",
+     SMT_SET(c.spec.prof.prefix = v.text)},
+    {"--prof-every", "N", Both, Kind::Num, false, 1, kMax,
+     "host-time 1 in N ticks (default 64)",
+     SMT_SET(c.spec.prof.sampleEvery = v.num)},
+    // Sweep execution.
+    {"--no-hmean", nullptr, Sweep, Kind::Flag, false, 0, 0,
+     "skip the single-thread baselines",
+     SMT_SET(c.spec.computeHmean = false)},
+    {"--jobs", "N", Sweep, Kind::Num, false, 1, 1024,
+     "worker threads (default: all host cores); results are "
+     "identical for every N", SMT_SET(c.jobs = static_cast<int>(v.num))},
+    {"--journal", "FILE", Sweep, Kind::Text, false, 0, 0,
+     "append one durable NDJSON record per completed job (fsync'd); "
+     "a fresh sweep truncates FILE first",
+     SMT_SET(c.ropts.journalPath = v.text)},
+    {"--resume", nullptr, Sweep, Kind::Flag, false, 0, 0,
+     "replay completed jobs from --journal and run only the rest; "
+     "the merged output is byte-identical to an uninterrupted run",
+     SMT_SET(c.ropts.resume = true)},
+    {"--isolate-jobs", nullptr, Sweep, Kind::Flag, false, 0, 0,
+     "fork each job into a child process so a crash loses one job, "
+     "not the sweep", SMT_SET(c.ropts.exec.isolate = true)},
+    {"--job-timeout", "SEC", Sweep, Kind::Num, false, 1, kIntMax,
+     "kill an isolated job after SEC seconds (needs --isolate-jobs)",
+     SMT_SET(c.ropts.exec.timeoutSec = static_cast<int>(v.num))},
+    {"--job-retries", "N", Sweep, Kind::Num, false, 0, 1000,
+     "re-run a failed job up to N extra times",
+     SMT_SET(c.ropts.exec.retries = static_cast<int>(v.num))},
+    {"--job-backoff", "MS", Sweep, Kind::Num, false, 0, kIntMax,
+     "base retry backoff: attempt k waits MS << (k-1) milliseconds "
+     "(default 50)",
+     SMT_SET(c.ropts.exec.backoffMs = static_cast<int>(v.num))},
+    // prof-report.
+    {"--top", "N", Report, Kind::Num, false, 1, kIntMax,
+     "rows in the top-scopes table (default 20)",
+     SMT_SET(c.report.topScopes = static_cast<int>(v.num))},
+    // Actions: run instead of a simulation.
+    {"--list-benchmarks", nullptr, Run, Kind::Flag, false, 0, 0,
+     "show the available benchmarks", SMT_SET(c.action = listBenchmarks)},
+    {"--list-workloads", nullptr, Run, Kind::Flag, false, 0, 0,
+     "show the paper's Table 4 workloads",
+     SMT_SET(c.action = listWorkloads)},
+    {"--list-policies", nullptr, Run, Kind::Flag, false, 0, 0,
+     "show the registered fetch/allocation policies",
+     SMT_SET(c.action = listPolicies)},
+    {"--list-arbiters", nullptr, Run, Kind::Flag, false, 0, 0,
+     "show the registered LLC arbiters", SMT_SET(c.action = listArbiters)},
+    {"--selftest", nullptr, Run, Kind::Flag, false, 0, 0,
+     "10k-cycle 2-thread DCRA smoke run plus a 2-core chip smoke; "
+     "exits nonzero on NaN/zero IPC or nondeterminism",
+     SMT_SET(c.action = selftest)},
+    {"--help", nullptr, Both | Report, Kind::Flag, false, 0, 0,
+     "print this text (also -h)", SMT_SET(c.action = usage)},
+};
+// clang-format on
+
+#undef SMT_SET
+
+const char *
+modeName(unsigned modes)
+{
+    return modes & Run ? "single-run" : modes & Sweep ? "sweep"
+                                                      : "prof-report";
+}
+
+/** Strict unsigned decimal: digits only, no sign, no overflow. */
+bool
+parseDecimal(const std::string &s, std::uint64_t &out)
+{
+    if (s.empty() || s.size() > 20 ||
+        s.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    out = std::strtoull(s.c_str(), nullptr, 10);
+    return errno != ERANGE;
+}
+
+/** Check and apply one option value; false after an error. */
+bool
+applyValue(Cli &c, const Option &o, const std::string &tok)
+{
+    Value v;
+    v.text = tok;
+    if (o.kind == Kind::Num &&
+        (!parseDecimal(tok, v.num) || v.num < o.lo || v.num > o.hi)) {
+        if (o.hi == kMax) {
+            std::fprintf(stderr,
+                         "error: %s wants an integer >= %llu, got "
+                         "'%s'\n",
+                         o.name, static_cast<unsigned long long>(o.lo),
+                         tok.c_str());
+        } else {
+            std::fprintf(stderr,
+                         "error: %s wants an integer in %llu..%llu, got "
+                         "'%s'\n",
+                         o.name, static_cast<unsigned long long>(o.lo),
+                         static_cast<unsigned long long>(o.hi),
+                         tok.c_str());
+        }
+        return false;
+    }
+    if (o.kind == Kind::Num)
+        v.text = std::to_string(v.num); // canonical: "007" -> "7"
+    if (o.kind == Kind::Text && tok.empty()) {
+        std::fprintf(stderr, "error: %s wants a non-empty value\n",
+                     o.name);
+        return false;
+    }
+    return o.set(c, v);
+}
+
+/** Parse argv (mode word already stripped) into @p c. */
+bool
+parseArgs(Cli &c, int argc, char **argv)
+{
+    for (int i = 0; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (c.mode == Report && (arg.empty() || arg[0] != '-')) {
+            c.files.push_back(arg);
+            continue;
+        }
+        if (arg == "-h")
+            arg = "--help";
+        const Option *o = nullptr;
+        for (const Option &cand : kOptions) {
+            if (arg == cand.name)
+                o = &cand;
+        }
+        if (!o) {
+            std::fprintf(stderr,
+                         "error: unknown option '%s' (see 'smtsim "
+                         "--help')\n",
+                         arg.c_str());
+            return false;
+        }
+        if (!(o->modes & c.mode)) {
+            std::fprintf(stderr,
+                         "error: %s is a %s option, not a %s one (see "
+                         "'smtsim --help')\n",
+                         o->name, modeName(o->modes), modeName(c.mode));
+            return false;
+        }
+        if (o->kind != Kind::Flag && i + 1 >= argc) {
+            std::fprintf(stderr, "error: missing value for %s\n",
+                         o->name);
+            return false;
+        }
+        const std::string value = o->kind == Kind::Flag ? "" : argv[++i];
+        const std::vector<std::string> toks =
+            o->list && c.mode == Sweep ? splitOn(value, ',')
+                                       : std::vector<std::string>{value};
+        for (const std::string &tok : toks) {
+            if (!applyValue(c, *o, tok))
+                return false;
+        }
+    }
+    return true;
+}
+
+/** Print @p text wrapped to the help column. */
+void
+printWrapped(std::string text, std::size_t col)
+{
+    const std::size_t width = 78 - col;
+    bool first = true;
+    while (!text.empty()) {
+        std::size_t n = text.size();
+        if (n > width) {
+            n = text.rfind(' ', width);
+            if (n == std::string::npos || n == 0)
+                n = width;
+        }
+        std::printf("%*s%s\n", first ? 0 : static_cast<int>(col), "",
+                    text.substr(0, n).c_str());
+        text.erase(0, n);
+        if (!text.empty() && text[0] == ' ')
+            text.erase(0, 1);
+        first = false;
+    }
+}
+
+/** --help: generated from kOptions. */
+int
 usage()
 {
     std::printf(
         "usage: smtsim [options]\n"
-        "       smtsim sweep [sweep options]\n"
-        "       smtsim prof-report [--top N] FILE.prof.ndjson...\n"
-        "\n"
-        "single-run options:\n"
-        "  --workload a,b,c     comma-separated benchmarks (1-%d)\n"
-        "  --policy NAME        ROUND-ROBIN ICOUNT STALL FLUSH\n"
-        "                       FLUSH++ DG PDG SRA DCRA DCRA-DEG\n"
-        "  --commits N          first-thread commit budget\n"
-        "  --warmup N           warmup commits before measuring\n"
-        "  --mem-latency N      main memory latency (cycles)\n"
-        "  --l2-latency N       L2 access latency (cycles)\n"
-        "  --regs N             physical registers per file\n"
-        "  --iq N               entries per issue queue\n"
-        "  --seed N             workload generation seed\n"
-        "  --perfect-dcache     all data accesses hit L1\n"
-        "  --cores N            SMT cores on the chip (default 1 =\n"
-        "                       the paper's single-core machine)\n"
-        "  --contexts N         hardware contexts per core in\n"
-        "                       multi-core mode (default 4)\n"
-        "  --allocator NAME     thread-to-core allocator:\n"
-        "                       round-robin symbiosis synpa\n"
-        "  --epoch N            cycles between reallocations\n"
-        "                       (0 disables; default 20000)\n"
-        "  --llc-arbiter NAME   chip-level LLC arbiter (multi-core):\n"
-        "                       static chip-dcra way-equal way-util\n"
-        "  --llc-ways N         LLC associativity (pow2, <= 32) for\n"
-        "                       way-partitioning experiments\n"
-        "  --chip-jobs N        host threads ticking the chip's\n"
-        "                       cores (1 = serial, 0 = one per host\n"
-        "                       thread); results are byte-identical\n"
-        "                       for every value\n"
-        "  --trace-out PREFIX   record telemetry, writing\n"
-        "                       PREFIX.job0.ts.ndjson (time series)\n"
-        "                       and PREFIX.job0.trace.json (Chrome\n"
-        "                       trace, loadable in Perfetto)\n"
-        "  --ts-out PREFIX      record the time series alone:\n"
-        "                       PREFIX.job0.ts.ndjson, no event\n"
-        "                       trace file\n"
-        "  --stats-interval N   cycles between telemetry samples\n"
-        "                       (default 10000; needs --trace-out\n"
-        "                       or --ts-out)\n"
-        "  --prof PREFIX        host wall-clock profiling: sampled\n"
-        "                       stage/component attribution written\n"
-        "                       to PREFIX.job0.prof.ndjson (host\n"
-        "                       data, nondeterministic; simulation\n"
-        "                       results stay byte-identical). With\n"
-        "                       --trace-out, host spans are merged\n"
-        "                       into the Perfetto trace\n"
-        "  --prof-every N       host-time 1 in N ticks (default 64)\n"
-        "  --json               emit the sweep JSON schema instead\n"
-        "                       of the human report\n"
-        "  --list-benchmarks    show available benchmarks\n"
-        "  --list-workloads     show the paper's Table 4 workloads\n"
-        "  --list-policies      show registered fetch/alloc policies\n"
-        "  --list-arbiters      show registered LLC arbiters\n"
-        "  --selftest           10k-cycle 2-thread DCRA smoke run\n"
-        "                       plus a 2-core chip smoke; exits\n"
-        "                       nonzero on NaN/zero IPC or\n"
-        "                       nondeterminism\n"
-        "\n"
-        "sweep options (grid = workloads x policies x configs):\n"
-        "  --benches a+b,c+d    ad-hoc workloads ('+' joins the\n"
-        "                       threads of one workload)\n"
-        "  --workloads id,...   paper Table 4 workload ids\n"
-        "                       (e.g. MEM2.g1; see --list-workloads)\n"
-        "  --cells MEM2,ILP4    all four groups of a workload cell\n"
-        "  --policies A,B       policies to sweep (default\n"
-        "                       ICOUNT,DCRA)\n"
-        "  --mem-latency a,b    memory-latency axis (cycles)\n"
-        "  --l2-latency a,b     L2-latency axis (cycles)\n"
-        "  --regs a,b           register-file-size axis\n"
-        "  --iq a,b             issue-queue-size axis\n"
-        "  --cores a,b          chip-size axis (cores > 1 run on\n"
-        "                       the CMP layer)\n"
-        "  --allocator a,b      thread-to-core allocator axis\n"
-        "  --llc-arbiter a,b    LLC-arbiter axis (multi-core)\n"
-        "  --llc-ways a,b       LLC-associativity axis (multi-core)\n"
-        "  --chip-jobs N        host threads per multi-core chip\n"
-        "                       (byte-identical for every value)\n"
-        "  --contexts N         contexts per core (multi-core)\n"
-        "  --epoch N            reallocation epoch in cycles\n"
-        "  --commits N          per-run commit budget (default\n"
-        "                       60000)\n"
-        "  --warmup N           warmup commits (default 10000)\n"
-        "  --seed N             workload generation seed\n"
-        "  --perfect-dcache     all data accesses hit L1\n"
-        "  --no-hmean           skip single-thread baselines\n"
-        "  --jobs N             worker threads (default: all host\n"
-        "                       cores); results are identical for\n"
-        "                       every N\n"
-        "  --trace-out PREFIX   per-job telemetry sidecar files\n"
-        "                       (PREFIX.job<i>.ts.ndjson and\n"
-        "                       PREFIX.job<i>.trace.json, named by\n"
-        "                       the deterministic job order); bumps\n"
-        "                       the JSON schema to smtsim-sweep-v2\n"
-        "  --ts-out PREFIX      per-job time series alone (no event\n"
-        "                       trace files); also schema v2\n"
-        "  --stats-interval N   cycles between telemetry samples\n"
-        "                       (default 10000; needs --trace-out\n"
-        "                       or --ts-out)\n"
-        "  --prof PREFIX        host wall-clock profiling sidecars:\n"
-        "                       PREFIX.job<i>.prof.ndjson per job\n"
-        "                       plus PREFIX.runner.prof.ndjson\n"
-        "                       (job wall/queue times, baseline-\n"
-        "                       cache contention); deterministic\n"
-        "                       outputs are unchanged\n"
-        "  --prof-every N       host-time 1 in N ticks (default 64)\n"
-        "  --format F           table | csv | json (default table)\n"
-        "  --output FILE        write to FILE instead of stdout\n"
-        "\n"
-        "prof-report: aggregate one or more .prof.ndjson sidecars\n"
-        "(from --prof) into a table: top host-time scopes, wavefront\n"
-        "gate waits and per-worker utilization, job wall-time\n"
-        "percentiles, baseline-cache contention. --top N limits the\n"
-        "scope table (default 20).\n"
-        "\n"
-        "sweep fault tolerance (see README 'Fault tolerance'):\n"
-        "  --journal FILE       append one durable NDJSON record per\n"
-        "                       completed job (fsync'd); a fresh\n"
-        "                       sweep truncates FILE first\n"
-        "  --resume             replay completed jobs from --journal\n"
-        "                       and run only the rest; merged output\n"
-        "                       is byte-identical to an\n"
-        "                       uninterrupted run\n"
-        "  --isolate-jobs       fork each job into a child process\n"
-        "                       so a crash loses one job, not the\n"
-        "                       sweep\n"
-        "  --job-timeout SEC    kill an isolated job after SEC\n"
-        "                       seconds (needs --isolate-jobs)\n"
-        "  --job-retries N      re-run a failed job up to N extra\n"
-        "                       times with deterministic backoff\n"
-        "  --job-backoff MS     base retry backoff in milliseconds\n"
-        "                       (attempt k waits MS << (k-1);\n"
-        "                       default 50)\n"
-        "\n"
-        "sweep exit codes: 0 success, 1 usage/config error, 3 sweep\n"
-        "completed but jobs failed (see the JSON failures block),\n"
-        "130 interrupted by SIGINT/SIGTERM (journal stays resumable)\n",
-        maxThreads);
+        "       smtsim sweep [options]\n"
+        "       smtsim prof-report [--top N] FILE.prof.ndjson...\n");
+    static const struct
+    {
+        unsigned modes;
+        const char *title;
+    } sections[] = {
+        {Both, "single-run and sweep options (in a sweep, a value "
+               "marked [list] takes a comma list: one config axis; the "
+               "grid is workloads x policies x every axis given)"},
+        {Run, "single-run options"},
+        {Sweep, "sweep options"},
+        {Report, "prof-report options (aggregate .prof.ndjson "
+                 "sidecars into top scopes, wavefront gate waits, job "
+                 "wall-time percentiles and baseline-cache contention)"},
+        {Both | Report, "everywhere"},
+    };
+    constexpr std::size_t col = 24;
+    for (const auto &sec : sections) {
+        std::printf("\n");
+        printWrapped(std::string(sec.title) + ":", 0);
+        for (const Option &o : kOptions) {
+            if (o.modes != sec.modes)
+                continue;
+            std::string left = std::string("  ") + o.name;
+            if (o.metavar)
+                left += std::string(" ") + o.metavar;
+            std::string help = o.help;
+            if (o.kind == Kind::Num && (o.lo > 0 || o.hi != kMax)) {
+                help += o.hi == kMax
+                    ? " [>= " + std::to_string(o.lo) + "]"
+                    : " [" + std::to_string(o.lo) + ".." +
+                        std::to_string(o.hi) + "]";
+            }
+            if (o.list && (o.modes & Run))
+                help += " [list]";
+            if (left.size() + 1 > col) {
+                std::printf("%s\n%*s", left.c_str(),
+                            static_cast<int>(col), "");
+            } else {
+                std::printf("%-*s", static_cast<int>(col), left.c_str());
+            }
+            printWrapped(help, col);
+        }
+    }
+    std::printf(
+        "\nIntegers are plain decimal within the range shown; anything "
+        "else\nis rejected with exit 1 before any simulation starts.\n"
+        "\nsweep exit codes: 0 success, 1 usage/config error, 3 sweep\n"
+        "completed but jobs failed (see the JSON failures block), 130\n"
+        "interrupted by SIGINT/SIGTERM (journal stays resumable; see\n"
+        "README 'Fault tolerance').\n");
+    return 0;
 }
+
+int
+listBenchmarks()
+{
+    for (const auto &b : allBenchNames()) {
+        const BenchProfile &p = benchProfile(b);
+        // smtlint:allow(D2): human-facing table; C locale is pinned (D1 bans setlocale)
+        std::printf("%-8s %s  %s  (paper L2 miss %.1f%%)\n", b.c_str(),
+                    p.isFp ? "FP " : "INT",
+                    isMemBench(b) ? "MEM" : "ILP", p.paperL2MissRate);
+    }
+    return 0;
+}
+
+int
+listWorkloads()
+{
+    for (const Workload &w : allWorkloads()) {
+        std::printf("%-8s", w.id.c_str());
+        for (const auto &b : w.benches)
+            std::printf(" %s", b.c_str());
+        std::printf("\n");
+    }
+    return 0;
+}
+
+int
+listPolicies()
+{
+    for (const char *n : policyNames())
+        std::printf("%s\n", n);
+    return 0;
+}
+
+int
+listArbiters()
+{
+    for (const char *n : llcArbiterNames())
+        std::printf("%s\n", n);
+    return 0;
+}
+
+// ---------------------------------------------------------------
+// Checks, running, reporting
+// ---------------------------------------------------------------
 
 /**
  * Smoke mode wired into CTest: run a short 2-thread DCRA simulation
@@ -323,12 +784,6 @@ splitOn(const std::string &s, char sep)
     return out;
 }
 
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    return splitOn(s, ',');
-}
-
 /** How many software threads a chip shape can hold. */
 struct ChipShape
 {
@@ -385,35 +840,6 @@ validateBenches(const std::vector<std::string> &benches,
     return true;
 }
 
-/** Validate an --llc-ways value; reports to stderr on rejection. */
-bool
-validateLlcWays(int n)
-{
-    if (n < 1 || n > 32 ||
-        !isPow2(static_cast<std::uint64_t>(n))) {
-        std::fprintf(stderr,
-                     "error: --llc-ways wants a power of two in "
-                     "1..32 (got %d); the LLC's set count must stay "
-                     "a power of two\n",
-                     n);
-        return false;
-    }
-    return true;
-}
-
-/** Parse a comma list of non-negative integers; false on junk. */
-bool
-parseU64List(const std::string &s, std::vector<std::uint64_t> &out)
-{
-    for (const std::string &tok : splitCommas(s)) {
-        if (tok.empty() ||
-            tok.find_first_not_of("0123456789") != std::string::npos)
-            return false;
-        out.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    }
-    return !out.empty();
-}
-
 /**
  * Fail fast on an unwritable output path: probe with fopen(path,
  * "a") before the (possibly hours-long) sweep starts, removing the
@@ -465,750 +891,177 @@ emitOutput(const std::string &text, const std::string &path)
     return 0;
 }
 
-/** `smtsim sweep ...`: build a SweepSpec from the flags and run it. */
-int
-sweepMain(int argc, char **argv)
+/**
+ * Check every job of the grid the way the simulator would, before
+ * the first one starts: workloads against their chip's thread
+ * capacity and the core configuration against its context count.
+ * A bad point must fail the whole command with exit 1, not abort
+ * the process halfway through a sweep.
+ */
+bool
+validateJobs(const SweepSpec &spec)
 {
-    SweepSpec spec;
-    spec.name = "cli-sweep";
-    spec.commits = 60'000;
-    spec.warmup = 10'000;
-
-    std::vector<std::uint64_t> memLats, l2Lats, regSizes, iqSizes;
-    std::vector<std::uint64_t> coreCounts, llcWaysAxis;
-    std::vector<AllocatorKind> allocKinds;
-    std::vector<std::string> llcArbs;
-    std::string format = "table";
-    std::string outPath;
-    int jobs = 0;
-    std::uint64_t statsInterval = 0;
-    RunnerOptions ropts;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--benches") {
-            // Names and capacity are validated after the whole
-            // command line is parsed: the thread capacity depends
-            // on --cores/--contexts, which may come later.
-            for (const std::string &spec_s : splitCommas(next())) {
-                const std::vector<std::string> benches =
-                    splitOn(spec_s, '+');
-                if (benches.empty() ||
-                    (benches.size() == 1 && benches[0].empty())) {
-                    std::fprintf(stderr, "error: empty workload\n");
-                    return 1;
-                }
-                spec.workloads.push_back(adHocWorkload(benches));
-            }
-        } else if (arg == "--workloads") {
-            for (const std::string &id : splitCommas(next())) {
-                const std::vector<Workload> &all = allWorkloads();
-                auto it = std::find_if(
-                    all.begin(), all.end(),
-                    [&](const Workload &w) { return w.id == id; });
-                if (it == all.end()) {
-                    std::fprintf(stderr,
-                                 "error: unknown workload id '%s' "
-                                 "(run 'smtsim --list-workloads')\n",
-                                 id.c_str());
-                    return 1;
-                }
-                spec.workloads.push_back(*it);
-            }
-        } else if (arg == "--cells") {
-            for (const std::string &cell : splitCommas(next())) {
-                WorkloadType ty;
-                if (cell.rfind("ILP", 0) == 0)
-                    ty = WorkloadType::ILP;
-                else if (cell.rfind("MIX", 0) == 0)
-                    ty = WorkloadType::MIX;
-                else if (cell.rfind("MEM", 0) == 0)
-                    ty = WorkloadType::MEM;
-                else {
-                    std::fprintf(stderr,
-                                 "error: bad cell '%s' (want e.g. "
-                                 "ILP2, MIX3, MEM4)\n",
-                                 cell.c_str());
-                    return 1;
-                }
-                const int n = std::atoi(cell.c_str() + 3);
-                const std::vector<Workload> group =
-                    workloadsOf(n, ty);
-                if (group.empty()) {
-                    std::fprintf(stderr,
-                                 "error: no workloads in cell '%s'\n",
-                                 cell.c_str());
-                    return 1;
-                }
-                spec.workloads.insert(spec.workloads.end(),
-                                      group.begin(), group.end());
-            }
-        } else if (arg == "--policies") {
-            for (const std::string &p : splitCommas(next()))
-                spec.policies.push_back(parsePolicyKind(p));
-        } else if (arg == "--mem-latency") {
-            if (!parseU64List(next(), memLats))
-                fatal("bad --mem-latency list");
-        } else if (arg == "--l2-latency") {
-            if (!parseU64List(next(), l2Lats))
-                fatal("bad --l2-latency list");
-        } else if (arg == "--regs") {
-            if (!parseU64List(next(), regSizes))
-                fatal("bad --regs list");
-        } else if (arg == "--iq") {
-            if (!parseU64List(next(), iqSizes))
-                fatal("bad --iq list");
-        } else if (arg == "--cores") {
-            if (!parseU64List(next(), coreCounts))
-                fatal("bad --cores list");
-        } else if (arg == "--allocator") {
-            for (const std::string &a : splitCommas(next()))
-                allocKinds.push_back(parseAllocatorKind(a));
-        } else if (arg == "--llc-arbiter") {
-            for (const std::string &a : splitCommas(next())) {
-                if (!isLlcArbiterName(a)) {
-                    std::fprintf(stderr,
-                                 "error: unknown LLC arbiter '%s' "
-                                 "(run 'smtsim --list-arbiters')\n",
-                                 a.c_str());
-                    return 1;
-                }
-                llcArbs.push_back(a);
-            }
-        } else if (arg == "--llc-ways") {
-            std::vector<std::uint64_t> ways;
-            if (!parseU64List(next(), ways))
-                fatal("bad --llc-ways list");
-            for (const std::uint64_t w : ways) {
-                if (!validateLlcWays(static_cast<int>(w)))
-                    return 1;
-                llcWaysAxis.push_back(w);
-            }
-        } else if (arg == "--contexts") {
-            const int n =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (n < 1 || n > maxThreads) {
-                std::fprintf(stderr,
-                             "error: --contexts wants 1..%d\n",
-                             maxThreads);
-                return 1;
-            }
-            spec.base.soc.contextsPerCore = n;
-        } else if (arg == "--epoch") {
-            spec.base.soc.epochCycles =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--commits") {
-            spec.commits = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--warmup") {
-            spec.warmup = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--seed") {
-            spec.base.seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--perfect-dcache") {
-            spec.base.mem.perfectDcache = true;
-        } else if (arg == "--no-hmean") {
-            spec.computeHmean = false;
-        } else if (arg == "--chip-jobs") {
-            const int n =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (n < 0) {
-                std::fprintf(stderr,
-                             "error: --chip-jobs wants N >= 0 "
-                             "(0 = one per host thread)\n");
-                return 1;
-            }
-            spec.base.soc.chipJobs = n;
-        } else if (arg == "--jobs") {
-            jobs = static_cast<int>(
-                std::strtol(next(), nullptr, 10));
-            if (jobs < 1) {
-                std::fprintf(stderr, "error: --jobs wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--trace-out") {
-            spec.telemetry.tracePrefix = next();
-        } else if (arg == "--ts-out") {
-            spec.telemetry.tsPrefix = next();
-        } else if (arg == "--prof") {
-            spec.prof.prefix = next();
-        } else if (arg == "--prof-every") {
-            spec.prof.sampleEvery =
-                std::strtoull(next(), nullptr, 10);
-            if (spec.prof.sampleEvery < 1) {
-                std::fprintf(stderr,
-                             "error: --prof-every wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--stats-interval") {
-            statsInterval = std::strtoull(next(), nullptr, 10);
-            if (statsInterval < 1) {
-                std::fprintf(stderr,
-                             "error: --stats-interval wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--format") {
-            format = next();
-        } else if (arg == "--output") {
-            outPath = next();
-        } else if (arg == "--journal") {
-            ropts.journalPath = next();
-        } else if (arg == "--resume") {
-            ropts.resume = true;
-        } else if (arg == "--isolate-jobs") {
-            ropts.exec.isolate = true;
-        } else if (arg == "--job-timeout") {
-            ropts.exec.timeoutSec =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (ropts.exec.timeoutSec < 1) {
-                std::fprintf(stderr,
-                             "error: --job-timeout wants N >= 1 "
-                             "seconds\n");
-                return 1;
-            }
-        } else if (arg == "--job-retries") {
-            ropts.exec.retries =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (ropts.exec.retries < 0) {
-                std::fprintf(stderr,
-                             "error: --job-retries wants N >= 0\n");
-                return 1;
-            }
-        } else if (arg == "--job-backoff") {
-            ropts.exec.backoffMs =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (ropts.exec.backoffMs < 0) {
-                std::fprintf(stderr,
-                             "error: --job-backoff wants N >= 0 "
-                             "milliseconds\n");
-                return 1;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown sweep option '%s'\n",
-                         arg.c_str());
-            usage();
-            return 1;
+    for (const SweepJob &job : expandSweep(spec)) {
+        const SocParams &soc = job.config.soc;
+        const std::vector<std::string> &benches = job.workload.benches;
+        ChipShape shape; // one core: the single-core default shape
+        if (soc.numCores > 1) {
+            shape.cores = soc.numCores;
+            shape.contexts = soc.contextsPerCore;
+        }
+        if (!validateBenches(benches, shape))
+            return false;
+        SmtConfig core = job.config.core;
+        core.numThreads = soc.numCores > 1
+            ? soc.contextsPerCore
+            : static_cast<int>(benches.size());
+        const std::string why = core.problem();
+        if (!why.empty()) {
+            std::fprintf(stderr, "error: %s%s%s%s\n", why.c_str(),
+                         job.configLabel.empty() ? "" : " (config '",
+                         job.configLabel.c_str(),
+                         job.configLabel.empty() ? "" : "')");
+            return false;
         }
     }
+    return true;
+}
 
-    if (ropts.resume && ropts.journalPath.empty()) {
+/**
+ * Turn the parsed command line into the spec to run; false after
+ * reporting an error. A single run applies its one value per axis
+ * to the base config; a sweep multiplies the axes out.
+ */
+bool
+buildSpec(Cli &c)
+{
+    SweepSpec &spec = c.spec;
+    if (c.ropts.resume && c.ropts.journalPath.empty()) {
         std::fprintf(stderr, "error: --resume needs --journal (the "
                      "file to replay)\n");
-        return 1;
+        return false;
     }
-    if (ropts.exec.timeoutSec > 0 && !ropts.exec.isolate) {
+    if (c.ropts.exec.timeoutSec > 0 && !c.ropts.exec.isolate) {
         std::fprintf(stderr, "error: --job-timeout needs "
                      "--isolate-jobs (only a child process can be "
                      "killed without losing the sweep)\n");
-        return 1;
+        return false;
     }
-    ropts.faults = FaultPlan::fromEnv();
-
-    if (statsInterval > 0 && !spec.telemetry.enabled()) {
+    if (c.statsInterval > 0 && !spec.telemetry.enabled()) {
         std::fprintf(stderr, "error: --stats-interval needs "
                      "--trace-out or --ts-out (nowhere to write "
                      "samples)\n");
-        return 1;
+        return false;
     }
     if (spec.telemetry.enabled())
         spec.telemetry.statsInterval =
-            statsInterval ? statsInterval : 10'000;
+            c.statsInterval ? c.statsInterval : 10'000;
 
-    if (spec.workloads.empty()) {
-        std::fprintf(stderr,
-                     "error: no workloads; give --benches, "
-                     "--workloads and/or --cells\n");
-        return 1;
-    }
-    if (spec.policies.empty())
-        spec.policies = {PolicyKind::Icount, PolicyKind::Dcra};
-
-    // Every workload must fit every chip in the sweep. Capacity is
-    // not monotonic in the core count: one core offers maxThreads
-    // contexts, while a multi-core chip offers cores x --contexts —
-    // so validate against the tightest shape on the axis, not just
-    // the smallest core count.
-    ChipShape shape;
-    bool haveShape = false;
-    for (const std::uint64_t c : coreCounts) {
-        if (c < 1) {
-            std::fprintf(stderr, "error: --cores wants N >= 1\n");
-            return 1;
+    if (c.mode == Run) {
+        // Fill the base config first so --json reports it without a
+        // config label, exactly as a one-point grid would.
+        ConfigOverride o;
+        for (const std::vector<AxisPoint> &axis : c.axes) {
+            for (const AxisPoint &pt : axis)
+                pt.set(o);
         }
-        ChipShape cand; // c == 1: the single-core default shape
-        if (c > 1) {
-            cand.cores = static_cast<int>(c);
-            cand.contexts = spec.base.soc.contextsPerCore;
+        spec.base = o.apply(spec.base);
+        spec.workloads = {rawWorkload(c.workload)};
+        spec.policies = {c.policy};
+    } else {
+        if (spec.workloads.empty()) {
+            std::fprintf(stderr,
+                         "error: no workloads; give --benches, "
+                         "--workloads and/or --cells\n");
+            return false;
         }
-        if (!haveShape || cand.capacity() < shape.capacity()) {
-            shape = cand;
-            haveShape = true;
-        }
-    }
-    for (const Workload &w : spec.workloads) {
-        if (!validateBenches(w.benches, shape))
-            return 1;
-    }
-
-    const std::unique_ptr<ResultSink> sink = makeSink(format);
-    if (!sink) {
-        std::fprintf(stderr,
-                     "error: unknown format '%s' (table, csv, "
-                     "json)\n",
-                     format.c_str());
-        return 1;
-    }
-
-    // Cross product of the explicitly given config axes; an axis the
-    // user omitted contributes no label and no override.
-    auto axis = [](const std::vector<std::uint64_t> &v) {
-        return v.empty() ? std::vector<std::uint64_t>{0} : v;
-    };
-    const std::vector<AllocatorKind> allocAxis = allocKinds.empty()
-        ? std::vector<AllocatorKind>{AllocatorKind::RoundRobin}
-        : allocKinds;
-    const std::vector<std::string> arbAxis = llcArbs.empty()
-        ? std::vector<std::string>{"static"}
-        : llcArbs;
-    for (const std::uint64_t nc : axis(coreCounts)) {
-     for (const AllocatorKind ak : allocAxis) {
-      for (const std::string &la : arbAxis) {
-       for (const std::uint64_t lw : axis(llcWaysAxis)) {
-        for (const std::uint64_t ml : axis(memLats)) {
-          for (const std::uint64_t l2 : axis(l2Lats)) {
-            for (const std::uint64_t rg : axis(regSizes)) {
-                for (const std::uint64_t iq : axis(iqSizes)) {
-                    ConfigOverride o;
-                    auto addPart = [&](const char *k,
-                                       std::uint64_t v) {
-                        if (!o.label.empty())
-                            o.label += ',';
-                        o.label += k;
-                        o.label += '=';
-                        o.label += std::to_string(v);
-                    };
-                    auto addName = [&](const char *k,
-                                       const std::string &v) {
-                        if (!o.label.empty())
-                            o.label += ',';
-                        o.label += k;
-                        o.label += '=';
-                        o.label += v;
-                    };
-                    if (!coreCounts.empty()) {
-                        o.numCores = static_cast<int>(nc);
-                        addPart("cores", nc);
-                    }
-                    if (!allocKinds.empty()) {
-                        o.allocator = ak;
-                        addName("alloc", allocatorKindName(ak));
-                    }
-                    if (!llcArbs.empty()) {
-                        o.llcArbiter = la;
-                        addName("llcarb", la);
-                    }
-                    if (!llcWaysAxis.empty()) {
-                        o.llcWays = static_cast<int>(lw);
-                        addPart("llcways", lw);
-                    }
-                    if (!memLats.empty()) {
-                        o.memLatency = ml;
-                        addPart("mem", ml);
-                    }
-                    if (!l2Lats.empty()) {
-                        o.l2Latency = l2;
-                        addPart("l2", l2);
-                    }
-                    if (!regSizes.empty()) {
-                        o.physRegsPerFile = static_cast<int>(rg);
-                        addPart("regs", rg);
-                    }
-                    if (!iqSizes.empty()) {
-                        o.iqSize = static_cast<int>(iq);
-                        addPart("iq", iq);
-                    }
-                    if (!o.label.empty())
-                        spec.configs.push_back(std::move(o));
+        if (spec.policies.empty())
+            spec.policies = {PolicyKind::Icount, PolicyKind::Dcra};
+        // Cross product of the axes given, outermost first; an axis
+        // left out contributes no label and no override.
+        std::vector<ConfigOverride> configs(1);
+        for (const std::vector<AxisPoint> &axis : c.axes) {
+            if (axis.empty())
+                continue;
+            std::vector<ConfigOverride> next;
+            for (const ConfigOverride &outer : configs) {
+                for (const AxisPoint &pt : axis) {
+                    ConfigOverride o = outer;
+                    o.label += (o.label.empty() ? "" : ",") + pt.label;
+                    pt.set(o);
+                    next.push_back(std::move(o));
                 }
             }
-          }
+            configs = std::move(next);
         }
-       }
-      }
-     }
+        if (!configs[0].label.empty())
+            spec.configs = std::move(configs);
+    }
+    if (!validateJobs(spec))
+        return false;
+    for (Workload &w : spec.workloads) {
+        if (w.id.empty())
+            w = adHocWorkload(w.benches);
     }
 
     // Fail fast on unwritable destinations before hours of
     // simulation, not after.
-    if (!probeWritable(outPath, "--output") ||
-        !probeWritable(ropts.journalPath, "--journal"))
-        return 1;
+    if (!probeWritable(c.outPath, "--output") ||
+        !probeWritable(c.ropts.journalPath, "--journal"))
+        return false;
     if (spec.telemetry.enabled() &&
         !probeWritable(
             telemetryFileBase(spec.telemetry.tsOutPrefix(), 0) +
                 ".ts.ndjson",
             spec.telemetry.tsPrefix.empty() ? "--trace-out"
                                             : "--ts-out"))
-        return 1;
-    if (spec.prof.enabled() &&
-        !probeWritable(profFileBase(spec.prof.prefix, 0) +
-                           ".prof.ndjson",
-                       "--prof"))
-        return 1;
-
-    SweepRunner runner(std::move(spec), jobs, nullptr,
-                       std::move(ropts));
-    const SweepResults results = runner.run();
-    if (results.interrupted) {
-        std::fprintf(stderr,
-                     "sweep interrupted; completed jobs are in the "
-                     "journal — re-run with --resume to finish\n");
-        return 130;
-    }
-    const int rc = emitOutput(sink->render(results), outPath);
-    if (rc)
-        return rc;
-    if (!results.failures.empty()) {
-        std::fprintf(stderr,
-                     "sweep completed with %zu failed job(s); see "
-                     "the failures block (--format json)\n",
-                     results.failures.size());
-        return 3;
-    }
-    return 0;
+        return false;
+    return !spec.prof.enabled() ||
+        probeWritable(profFileBase(spec.prof.prefix, 0) +
+                          ".prof.ndjson",
+                      "--prof");
 }
 
-/** `smtsim prof-report FILE...`: aggregate --prof sidecars. */
+/** The single run's human report, from its one JobResult. */
 int
-profReportMain(int argc, char **argv)
+printRunReport(const SweepResults &res)
 {
-    ProfReportOptions opts;
-    std::vector<std::string> paths;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--top") {
-            if (i + 1 >= argc)
-                fatal("missing value for --top");
-            opts.topScopes = static_cast<int>(
-                std::strtol(argv[++i], nullptr, 10));
-            if (opts.topScopes < 1) {
-                std::fprintf(stderr,
-                             "error: --top wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr,
-                         "unknown prof-report option '%s'\n",
-                         arg.c_str());
-            usage();
-            return 1;
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (paths.empty()) {
-        std::fprintf(stderr,
-                     "error: prof-report wants at least one "
-                     ".prof.ndjson file (from --prof)\n");
-        return 1;
-    }
-    std::string out;
-    std::string err;
-    if (!renderProfReport(paths, opts, out, err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 1;
-    }
-    std::fputs(out.c_str(), stdout);
-    return 0;
-}
-
-} // anonymous namespace
-
-int
-main(int argc, char **argv)
-{
-    if (argc > 1 && std::strcmp(argv[1], "sweep") == 0)
-        return sweepMain(argc - 2, argv + 2);
-    if (argc > 1 && std::strcmp(argv[1], "prof-report") == 0)
-        return profReportMain(argc - 2, argv + 2);
-
-    std::vector<std::string> workload = {"gzip", "twolf"};
-    PolicyKind policy = PolicyKind::Dcra;
-    std::uint64_t commits = 100'000;
-    std::uint64_t warmup = 10'000;
-    bool jsonOut = false;
-    std::string traceOut;
-    std::string tsOut;
-    std::string profOut;
-    std::uint64_t profEvery = 64;
-    std::uint64_t statsInterval = 0;
-    SimConfig cfg;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--workload") {
-            workload = splitCommas(next());
-        } else if (arg == "--policy") {
-            policy = parsePolicyKind(next());
-        } else if (arg == "--commits") {
-            commits = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--mem-latency") {
-            cfg.mem.memLatency = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--l2-latency") {
-            cfg.mem.l2Latency = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--regs") {
-            cfg.core.physRegsPerFile =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-        } else if (arg == "--iq") {
-            const int n =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            for (int q = 0; q < numQueueClasses; ++q)
-                cfg.core.iqSize[q] = n;
-        } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--perfect-dcache") {
-            cfg.mem.perfectDcache = true;
-        } else if (arg == "--cores") {
-            cfg.soc.numCores =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (cfg.soc.numCores < 1) {
-                std::fprintf(stderr, "error: --cores wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--contexts") {
-            cfg.soc.contextsPerCore =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (cfg.soc.contextsPerCore < 1 ||
-                cfg.soc.contextsPerCore > maxThreads) {
-                std::fprintf(stderr,
-                             "error: --contexts wants 1..%d\n",
-                             maxThreads);
-                return 1;
-            }
-        } else if (arg == "--allocator") {
-            cfg.soc.allocator = parseAllocatorKind(next());
-        } else if (arg == "--epoch") {
-            cfg.soc.epochCycles =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--llc-arbiter") {
-            cfg.soc.llcArbiter = next();
-            if (!isLlcArbiterName(cfg.soc.llcArbiter)) {
-                std::fprintf(stderr,
-                             "error: unknown LLC arbiter '%s' (run "
-                             "'smtsim --list-arbiters')\n",
-                             cfg.soc.llcArbiter.c_str());
-                return 1;
-            }
-        } else if (arg == "--llc-ways") {
-            cfg.soc.llcWays =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (!validateLlcWays(cfg.soc.llcWays))
-                return 1;
-        } else if (arg == "--chip-jobs") {
-            cfg.soc.chipJobs =
-                static_cast<int>(std::strtol(next(), nullptr, 10));
-            if (cfg.soc.chipJobs < 0) {
-                std::fprintf(stderr,
-                             "error: --chip-jobs wants N >= 0 "
-                             "(0 = one per host thread)\n");
-                return 1;
-            }
-        } else if (arg == "--trace-out") {
-            traceOut = next();
-        } else if (arg == "--ts-out") {
-            tsOut = next();
-        } else if (arg == "--prof") {
-            profOut = next();
-        } else if (arg == "--prof-every") {
-            profEvery = std::strtoull(next(), nullptr, 10);
-            if (profEvery < 1) {
-                std::fprintf(stderr,
-                             "error: --prof-every wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--stats-interval") {
-            statsInterval = std::strtoull(next(), nullptr, 10);
-            if (statsInterval < 1) {
-                std::fprintf(stderr,
-                             "error: --stats-interval wants N >= 1\n");
-                return 1;
-            }
-        } else if (arg == "--json") {
-            jsonOut = true;
-        } else if (arg == "--list-benchmarks") {
-            for (const auto &b : allBenchNames()) {
-                const BenchProfile &p = benchProfile(b);
-                // smtlint:allow(D2): human-facing table; C locale is pinned (D1 bans setlocale)
-                std::printf("%-8s %s  %s  (paper L2 miss %.1f%%)\n",
-                            b.c_str(), p.isFp ? "FP " : "INT",
-                            isMemBench(b) ? "MEM" : "ILP",
-                            p.paperL2MissRate);
-            }
-            return 0;
-        } else if (arg == "--list-workloads") {
-            for (const Workload &w : allWorkloads()) {
-                std::printf("%-8s", w.id.c_str());
-                for (const auto &b : w.benches)
-                    std::printf(" %s", b.c_str());
-                std::printf("\n");
-            }
-            return 0;
-        } else if (arg == "--list-policies") {
-            for (const char *n : policyNames())
-                std::printf("%s\n", n);
-            return 0;
-        } else if (arg == "--list-arbiters") {
-            for (const char *n : llcArbiterNames())
-                std::printf("%s\n", n);
-            return 0;
-        } else if (arg == "--selftest") {
-            return selftest();
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n",
-                         arg.c_str());
-            usage();
-            return 1;
-        }
-    }
-
-    ChipShape shape;
-    if (cfg.soc.numCores > 1) {
-        shape.cores = cfg.soc.numCores;
-        shape.contexts = cfg.soc.contextsPerCore;
-    }
-    if (!validateBenches(workload, shape))
-        return 1;
-
-    if (statsInterval > 0 && traceOut.empty() && tsOut.empty()) {
-        std::fprintf(stderr, "error: --stats-interval needs "
-                     "--trace-out or --ts-out (nowhere to write "
-                     "samples)\n");
-        return 1;
-    }
-    const Cycle interval = statsInterval ? statsInterval : 10'000;
-    const std::string tsOutPrefix = tsOut.empty() ? traceOut : tsOut;
-    if (!tsOutPrefix.empty() &&
-        !probeWritable(telemetryFileBase(tsOutPrefix, 0) +
-                           ".ts.ndjson",
-                       tsOut.empty() ? "--trace-out" : "--ts-out"))
-        return 1;
-    if (!profOut.empty() &&
-        !probeWritable(profFileBase(profOut, 0) + ".prof.ndjson",
-                       "--prof"))
-        return 1;
-
-    if (jsonOut) {
-        // A single run is a one-job sweep; the runner gives it the
-        // exact same JSON schema a sweep emits (telemetry and host
-        // profiling included: the sidecar files are PREFIX.job0.*).
-        SweepSpec spec;
-        spec.name = "cli-run";
-        spec.base = cfg;
-        spec.commits = commits;
-        spec.warmup = warmup;
-        spec.maxCycles = 100'000'000;
-        spec.computeHmean = false;
-        spec.workloads = {adHocWorkload(workload)};
-        spec.policies = {policy};
-        spec.telemetry.tracePrefix = traceOut;
-        spec.telemetry.tsPrefix = tsOut;
-        if (spec.telemetry.enabled())
-            spec.telemetry.statsInterval = interval;
-        spec.prof.prefix = profOut;
-        spec.prof.sampleEvery = profEvery;
-        SweepRunner runner(std::move(spec), 1);
-        const SweepResults results = runner.run();
-        return emitOutput(JsonSink().render(results), "");
-    }
-
-    std::unique_ptr<TelemetryHub> hub;
-    if (!tsOutPrefix.empty())
-        hub = std::make_unique<TelemetryHub>(interval);
-    std::unique_ptr<HostProfiler> hprof;
-    if (!profOut.empty()) {
-        hprof = std::make_unique<HostProfiler>(profEvery);
-        hprof->enableSpans(!traceOut.empty());
-    }
-    const std::uint64_t runT0 = hprof ? hprof->nowNs() : 0;
-
-    SimResult r;
-    if (cfg.soc.numCores > 1) {
-        ChipSimulator chip(cfg, workload, policy);
-        if (hub)
-            chip.setTelemetry(hub.get());
-        if (hprof)
-            chip.setHostProfiler(hprof.get());
-        r = chip.run(commits, 100'000'000, warmup);
-    } else {
-        Simulator sim(cfg, workload, policy);
-        if (hub)
-            sim.setTelemetry(hub.get());
-        if (hprof)
-            sim.setHostProfiler(hprof.get());
-        r = sim.run(commits, 100'000'000, warmup);
-    }
-    if (hprof) {
-        hprof->record("{\"type\": \"run\", \"wallNs\": " +
-                      fmtU64(hprof->nowNs() - runT0) + "}");
-        if (!writeHostProfile(*hprof, profFileBase(profOut, 0),
-                              "job0"))
-            return 1;
+    const SweepSpec &spec = res.spec;
+    const JobResult &job = res.results[0];
+    const SimResult &r = job.summary.raw;
+    const RunSummary::Sidecars &files = job.summary.sidecars;
+    if (!files.written)
+        return 1; // the writer reported the failure
+    if (spec.prof.enabled()) {
         std::printf("prof: %zu scopes, %zu records, %zu spans -> "
                     "%s.job0.prof.ndjson (host wall-clock; "
                     "nondeterministic)\n",
-                    hprof->scopeCount(), hprof->recordCount(),
-                    hprof->spanCount(), profOut.c_str());
+                    files.scopes, files.records, files.spans,
+                    spec.prof.prefix.c_str());
     }
-    if (hub) {
-        if (!writeTelemetryFiles(
-                *hub, telemetryFileBase(tsOutPrefix, 0),
-                traceOut.empty()
-                    ? std::string()
-                    : telemetryFileBase(traceOut, 0),
-                hprof ? hprof->chromeTraceEvents() : std::string()))
-            return 1;
-        if (traceOut.empty()) {
-            std::printf("telemetry: %zu samples -> "
-                        "%s.job0.ts.ndjson\n",
-                        hub->sampleCount(), tsOut.c_str());
-        } else if (tsOut.empty()) {
-            std::printf("telemetry: %zu samples, %zu events -> "
-                        "%s.job0.{ts.ndjson,trace.json}\n",
-                        hub->sampleCount(), hub->eventCount(),
-                        traceOut.c_str());
-        } else {
-            std::printf("telemetry: %zu samples, %zu events -> "
-                        "%s.job0.ts.ndjson, %s.job0.trace.json\n",
-                        hub->sampleCount(), hub->eventCount(),
-                        tsOut.c_str(), traceOut.c_str());
-        }
+    const std::string &traceOut = spec.telemetry.tracePrefix;
+    const std::string &tsOut = spec.telemetry.tsPrefix;
+    if (traceOut.empty() && !tsOut.empty()) {
+        std::printf("telemetry: %zu samples -> %s.job0.ts.ndjson\n",
+                    files.samples, tsOut.c_str());
+    } else if (tsOut.empty() && !traceOut.empty()) {
+        std::printf("telemetry: %zu samples, %zu events -> "
+                    "%s.job0.{ts.ndjson,trace.json}\n",
+                    files.samples, files.events, traceOut.c_str());
+    } else if (!traceOut.empty()) {
+        std::printf("telemetry: %zu samples, %zu events -> "
+                    "%s.job0.ts.ndjson, %s.job0.trace.json\n",
+                    files.samples, files.events, tsOut.c_str(),
+                    traceOut.c_str());
     }
 
     // smtlint:allow(D2): width-padded human report; C locale is pinned (D1 bans setlocale)
     std::printf("policy=%s cycles=%llu throughput=%.3f mlp=%.2f\n",
-                policyKindName(policy),
+                policyKindName(job.job.policy),
                 static_cast<unsigned long long>(r.cycles),
                 r.throughput(), r.mlpBusyMean);
-    if (cfg.soc.numCores > 1) {
+    const SocParams &soc = job.job.config.soc;
+    if (soc.numCores > 1) {
         const double llcMissPct = r.llcAccesses
             ? 100.0 * static_cast<double>(r.llcMisses) /
                 static_cast<double>(r.llcAccesses)
@@ -1218,10 +1071,9 @@ main(int argc, char **argv)
                     // smtlint:allow(D2): width-padded human report; C locale is pinned (D1 bans setlocale)
                     "llc-miss=%.2f%% llc-arbiter=%s "
                     "share-reassignments=%llu\n",
-                    cfg.soc.numCores, cfg.soc.contextsPerCore,
-                    allocatorKindName(cfg.soc.allocator),
-                    static_cast<unsigned long long>(
-                        cfg.soc.epochCycles),
+                    soc.numCores, soc.contextsPerCore,
+                    allocatorKindName(soc.allocator),
+                    static_cast<unsigned long long>(soc.epochCycles),
                     static_cast<unsigned long long>(r.migrations),
                     static_cast<unsigned long long>(r.llcAccesses),
                     llcMissPct, r.llcArbiter.c_str(),
@@ -1272,4 +1124,101 @@ main(int argc, char **argv)
     }
     std::printf("\n");
     return 0;
+}
+
+/** Run the spec built from the command line and emit its output. */
+int
+simulate(Cli &c)
+{
+    const std::unique_ptr<ResultSink> sink =
+        makeSink(c.mode == Run && c.json ? "json" : c.format);
+    if (!sink) {
+        std::fprintf(stderr,
+                     "error: unknown format '%s' (table, csv, "
+                     "json)\n",
+                     c.format.c_str());
+        return 1;
+    }
+    if (!buildSpec(c))
+        return 1;
+
+    SweepRunner runner(std::move(c.spec), c.mode == Run ? 1 : c.jobs,
+                       nullptr, std::move(c.ropts));
+    const SweepResults results = runner.run();
+    if (results.interrupted) {
+        std::fprintf(stderr,
+                     "sweep interrupted; completed jobs are in the "
+                     "journal — re-run with --resume to finish\n");
+        return 130;
+    }
+    if (c.mode == Run && !c.json) {
+        if (results.results[0].failed) {
+            std::fprintf(stderr, "error: the run failed (%s)\n",
+                         results.failures[0].cause.c_str());
+            return 1;
+        }
+        return printRunReport(results);
+    }
+    const int rc = emitOutput(sink->render(results), c.outPath);
+    if (rc)
+        return rc;
+    if (c.mode == Sweep && !results.failures.empty()) {
+        std::fprintf(stderr,
+                     "sweep completed with %zu failed job(s); see "
+                     "the failures block (--format json)\n",
+                     results.failures.size());
+        return 3;
+    }
+    return 0;
+}
+
+/** `smtsim prof-report FILE...`: aggregate --prof sidecars. */
+int
+profReport(const Cli &c)
+{
+    if (c.files.empty()) {
+        std::fprintf(stderr,
+                     "error: prof-report wants at least one "
+                     ".prof.ndjson file (from --prof)\n");
+        return 1;
+    }
+    std::string out;
+    std::string err;
+    if (!renderProfReport(c.files, c.report, out, err)) {
+        std::fprintf(stderr, "error: %s\n", err.c_str());
+        return 1;
+    }
+    std::fputs(out.c_str(), stdout);
+    return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    Cli c;
+    int first = 1;
+    if (argc > 1 && std::strcmp(argv[1], "sweep") == 0) {
+        c.mode = Sweep;
+        c.spec.name = "cli-sweep";
+        c.spec.commits = 60'000;
+        c.ropts.faults = FaultPlan::fromEnv();
+        first = 2;
+    } else if (argc > 1 && std::strcmp(argv[1], "prof-report") == 0) {
+        c.mode = Report;
+        first = 2;
+    } else {
+        c.spec.name = "cli-run";
+        c.spec.commits = 100'000;
+        c.spec.maxCycles = 100'000'000;
+        c.spec.computeHmean = false;
+    }
+    c.spec.warmup = 10'000;
+
+    if (!parseArgs(c, argc - first, argv + first))
+        return 1;
+    if (c.action)
+        return c.action();
+    return c.mode == Report ? profReport(c) : simulate(c);
 }
