@@ -8,7 +8,12 @@
  * in BENCH_perf.json (schema smtsim-perf-v1).
  *
  * Representative 1/2/4-thread mixes run under the five headline
- * policies of the paper's evaluation. Metrics per run:
+ * policies of the paper's evaluation. The --chip-jobs scaling cells
+ * run one memory-bound 4-core x 2-context chip (DCRA cores, chip-dcra
+ * LLC arbiter, synpa allocator) on 1, 2 and 4 tick workers and
+ * report each one's speedup over 1 worker; they only scale on a host
+ * with that many free CPUs, so the host block records the CPU count.
+ * Metrics per run:
  *
  *   mcycles_per_sec  simulated Mcycles per wall second
  *   mips             committed (correct-path) M instructions per
@@ -52,6 +57,7 @@ struct Mix
     std::vector<std::string> benches;
     int cores = 1; //!< > 1: simulate a CMP (ChipSimulator)
     const char *llcArbiter = "static"; //!< LLC arbiter (CMP only)
+    int chipJobs = 1; //!< tick workers (CMP only)
 };
 
 const std::vector<Mix> &
@@ -78,6 +84,21 @@ mixes()
     return m;
 }
 
+/** The --chip-jobs scaling cells: one chip, 1/2/4 tick workers. */
+const std::vector<Mix> &
+scalingMixes()
+{
+    static const std::vector<std::string> mem8 = {
+        "mcf", "art", "swim", "equake", "lucas", "twolf", "vpr",
+        "parser"};
+    static const std::vector<Mix> m = {
+        {"4C8T", mem8, 4, "chip-dcra", 1},
+        {"4C8T", mem8, 4, "chip-dcra", 2},
+        {"4C8T", mem8, 4, "chip-dcra", 4},
+    };
+    return m;
+}
+
 const std::vector<PolicyKind> &
 policies()
 {
@@ -94,6 +115,7 @@ struct RunRecord
     int threads = 0;
     int cores = 1;
     std::string llcArbiter = "static";
+    int chipJobs = 1;
     std::string policy;
     std::uint64_t simCycles = 0;
     std::uint64_t simInsts = 0;
@@ -115,10 +137,17 @@ measure(const Mix &mix, PolicyKind policy, std::uint64_t commits,
             cfg.soc.numCores = mix.cores;
             cfg.soc.contextsPerCore =
                 static_cast<int>(mix.benches.size()) / mix.cores;
-            cfg.soc.allocator = AllocatorKind::Symbiosis;
-            cfg.soc.epochCycles = 2'000;
             cfg.soc.llcArbiter = mix.llcArbiter;
-            cfg.soc.llc.arbEpoch = 1'000;
+            cfg.soc.chipJobs = mix.chipJobs;
+            if (mix.cores == 2) {
+                cfg.soc.allocator = AllocatorKind::Symbiosis;
+                cfg.soc.epochCycles = 2'000;
+                cfg.soc.llc.arbEpoch = 1'000;
+            } else {
+                // The scaling chip: perfbench's chip4c8t_mem shape.
+                cfg.soc.allocator = AllocatorKind::Synpa;
+                cfg.soc.epochCycles = 5'000;
+            }
         }
         ChipSimulator chip(cfg, mix.benches, policy);
         const auto t0 = std::chrono::steady_clock::now();
@@ -148,6 +177,7 @@ measure(const Mix &mix, PolicyKind policy, std::uint64_t commits,
     rec.threads = static_cast<int>(mix.benches.size());
     rec.cores = mix.cores;
     rec.llcArbiter = mix.llcArbiter;
+    rec.chipJobs = mix.chipJobs;
     rec.policy = policyKindName(policy);
     rec.simCycles = r.cycles;
     for (const ThreadResult &t : r.threads)
@@ -168,6 +198,7 @@ measure(const Mix &mix, PolicyKind policy, std::uint64_t commits,
  *  host already was. */
 std::string
 renderFlat(const std::vector<RunRecord> &runs,
+           const std::vector<RunRecord> &scaling,
            const std::string &label, bool quick,
            std::uint64_t commits, const std::string &hostJson,
            double agg4t, double agg2c4t, double agg2c4tDcra)
@@ -201,6 +232,25 @@ renderFlat(const std::vector<RunRecord> &runs,
             static_cast<unsigned long long>(r.simInsts),
             r.wallSeconds, r.mcyclesPerSec, r.mips,
             i + 1 < runs.size() ? "," : "");
+    }
+    add("  ],\n");
+    add("  \"chip_jobs_scaling\": [\n");
+    for (std::size_t i = 0; i < scaling.size(); ++i) {
+        const RunRecord &r = scaling[i];
+        const double speedup = scaling[0].mcyclesPerSec > 0.0
+            ? r.mcyclesPerSec / scaling[0].mcyclesPerSec
+            : 0.0;
+        add("    {\"mix\": \"%s\", \"benches\": \"%s\", "
+            "\"cores\": %d, \"llc_arbiter\": \"%s\", "
+            "\"policy\": \"%s\", \"chip_jobs\": %d, "
+            "\"sim_cycles\": %llu, \"wall_seconds\": %.6f, "
+            "\"mcycles_per_sec\": %.3f, "
+            "\"speedup_vs_1_worker\": %.3f}%s\n",
+            r.mix.c_str(), r.benches.c_str(), r.cores,
+            r.llcArbiter.c_str(), r.policy.c_str(), r.chipJobs,
+            static_cast<unsigned long long>(r.simCycles),
+            r.wallSeconds, r.mcyclesPerSec, speedup,
+            i + 1 < scaling.size() ? "," : "");
     }
     add("  ],\n");
     add("  \"mcycles_per_sec_4t\": %.3f,\n", agg4t);
@@ -347,6 +397,23 @@ main(int argc, char **argv)
             runs.push_back(rec);
         }
     }
+    std::vector<RunRecord> scaling;
+    for (const Mix &mix : scalingMixes()) {
+        const RunRecord rec =
+            measure(mix, PolicyKind::Dcra, commits, reps);
+        std::fprintf(stderr,
+                     "%-4s chip-jobs %d %9.3f Mcycles/s (%.2fx vs "
+                     "1 worker, %.3fs)\n",
+                     rec.mix.c_str(), rec.chipJobs, rec.mcyclesPerSec,
+                     scaling.empty() || scaling[0].mcyclesPerSec <= 0.0
+                         ? 1.0
+                         : rec.mcyclesPerSec / scaling[0].mcyclesPerSec,
+                     rec.wallSeconds);
+        if (rec.mcyclesPerSec <= 0.0)
+            anyZero = true;
+        scaling.push_back(rec);
+    }
+
     const double agg4t = wall4t > 0.0
         ? static_cast<double>(cycles4t) / wall4t / 1e6
         : 0.0;
@@ -358,8 +425,8 @@ main(int argc, char **argv)
         : 0.0;
 
     const std::string flat =
-        renderFlat(runs, label, quick, commits, hostJson, agg4t,
-                   agg2c4t, agg2c4tDcra);
+        renderFlat(runs, scaling, label, quick, commits, hostJson,
+                   agg4t, agg2c4t, agg2c4tDcra);
 
     std::string doc;
     if (!baselinePath.empty()) {

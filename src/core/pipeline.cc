@@ -38,7 +38,7 @@ Pipeline::Pipeline(const SmtConfig &cfg_, MemorySystem &mem_,
       rtracker(cfg.numThreads),
       fuPool(cfg),
       wakeup(cfg.physRegsPerFile),
-      wheel(wheelSize)
+      wheel(initialWheelSize)
 {
     SMT_ASSERT(static_cast<int>(programs.size()) == cfg.numThreads,
                "got %zu programs for %d threads", programs.size(),
@@ -440,7 +440,7 @@ Pipeline::commitStage()
 void
 Pipeline::writebackStage()
 {
-    auto &bucket = wheel[cycle % wheelSize];
+    auto &bucket = wheel[cycle & wheelMask];
     for (const InstHandle h : bucket) {
         DynInst &d = pool[h];
         if (d.squashed) {
@@ -527,10 +527,29 @@ void
 Pipeline::pushWheel(InstHandle h, Cycle finish)
 {
     SMT_ASSERT(finish > cycle, "completion not in the future");
-    SMT_ASSERT(finish - cycle < wheelSize,
-               "latency %llu exceeds completion wheel",
-               static_cast<unsigned long long>(finish - cycle));
-    wheel[finish % wheelSize].push_back(h);
+    if (finish - cycle > wheelMask)
+        growWheel(finish - cycle);
+    wheel[finish & wheelMask].push_back(h);
+}
+
+void
+Pipeline::growWheel(Cycle latency)
+{
+    // Every pending completion finishes in [cycle, cycle + size), and
+    // each cycle of that window owns one bucket, so moving bucket by
+    // bucket to its finish cycle's new slot keeps every bucket's
+    // contents and order: writeback sees exactly what it would have.
+    SMT_ASSERT(latency < (Cycle(1) << 31),
+               "completion latency %llu out of range",
+               static_cast<unsigned long long>(latency));
+    std::size_t size = wheel.size();
+    while (size <= latency)
+        size *= 2;
+    std::vector<std::vector<InstHandle>> grown(size);
+    for (Cycle f = cycle; f <= cycle + wheelMask; ++f)
+        grown[f & (size - 1)] = std::move(wheel[f & wheelMask]);
+    wheel = std::move(grown);
+    wheelMask = static_cast<std::uint32_t>(size - 1);
 }
 
 void

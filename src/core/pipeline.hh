@@ -331,7 +331,11 @@ class Pipeline
     void storeChainUnlink(ThreadState &ts, InstHandle h, bool oldest);
     /** @} */
 
-    static constexpr std::size_t wheelSize = 2048;
+    /** Completion-wheel buckets before any growth (a power of 2). */
+    static constexpr std::size_t initialWheelSize = 2048;
+    /** Re-bucket the wheel into the next power of two above
+     *  @p latency (a completion that far out does not fit). */
+    void growWheel(Cycle latency);
 
     /**
      * In-flight instruction records are bounded by ROB residency
@@ -411,8 +415,16 @@ class Pipeline
     unsigned policyEvents = EvAllEvents; //!< policy.eventMask()
     bool anyResourceCap = false;  //!< any cfg.resourceCap[r] >= 0
     /** @} */
+    /** wheel.size() - 1. 32 bits fill the padding after the flags
+     *  above, so the Pipeline's size does not change: chip set-up
+     *  time depends on its heap pattern (see ChipSimulator). */
+    std::uint32_t wheelMask = initialWheelSize - 1;
 
     std::vector<ThreadState> threads;
+    /** Completion wheel: bucket finish & wheelMask holds the
+     *  instructions finishing that cycle, in push order. Latencies
+     *  (LLC bus and MSHR waits included) have no static bound, so it
+     *  grows on demand (growWheel). */
     std::vector<std::vector<InstHandle>> wheel;
 
     /** Reused every cycle by fetchStage (no per-cycle allocation). */

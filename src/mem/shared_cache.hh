@@ -85,9 +85,10 @@ struct LlcResult
  * Ordering gate for parallel chip execution. When installed (see
  * SharedCache::setAccessGate), every access() calls enter(core)
  * first; the parallel tick's implementation (soc/tick_wavefront.hh)
- * blocks there until all lower-id cores have finished the current
- * chip cycle, which reproduces the serial core-id-order access
- * sequence exactly. Serial execution installs none and pays one
+ * blocks there until every (cycle, core) pair before the caller's
+ * in the serial order has finished — lower-id cores the caller's
+ * cycle, higher-id cores the one before — which reproduces the
+ * serial access sequence exactly. Serial execution installs none and pays one
  * null-pointer test per access.
  */
 class LlcAccessGate

@@ -47,6 +47,10 @@ struct Report
     std::map<int, WaveAgg> wave; //!< keyed by core
     int waveWorkers = 0;
     int waveCores = 0;
+    std::uint64_t quanta = 0;        //!< summed wave-config records
+    std::uint64_t quantumCycles = 0;
+    /** Quanta ended per bound, in first-seen order. */
+    std::vector<std::pair<std::string, std::uint64_t>> quantumEnds;
     std::uint64_t runWallNs = 0; //!< summed "run" records
     std::vector<JobAgg> jobs;
     std::uint64_t baselineComputes = 0;
@@ -156,6 +160,24 @@ ingestFile(const std::string &path, Report &rep, std::string &err)
             if (const JsonValue *x = v.find("cores"))
                 rep.waveCores = std::max(
                     rep.waveCores, static_cast<int>(x->asI64()));
+            if (const JsonValue *x = v.find("quanta"))
+                rep.quanta += x->asU64();
+            if (const JsonValue *x = v.find("quantumCycles"))
+                rep.quantumCycles += x->asU64();
+            if (const JsonValue *x = v.find("quantumEnds")) {
+                for (const auto &kv : x->obj) {
+                    auto it = std::find_if(
+                        rep.quantumEnds.begin(), rep.quantumEnds.end(),
+                        [&kv](const auto &e) {
+                            return e.first == kv.first;
+                        });
+                    if (it == rep.quantumEnds.end()) {
+                        rep.quantumEnds.emplace_back(kv.first, 0);
+                        it = rep.quantumEnds.end() - 1;
+                    }
+                    it->second += kv.second.asU64();
+                }
+            }
         } else if (type->str == "run") {
             if (const JsonValue *x = v.find("wallNs"))
                 rep.runWallNs += x->asU64();
@@ -310,6 +332,21 @@ renderProfReport(const std::vector<std::string> &paths,
                    TextTable::fmt(avg, 2), top});
         }
         out += t.str();
+
+        // Quanta: how far the cores ran between main-thread steps,
+        // and which lookahead bound cut each quantum short.
+        if (rep.quanta > 0) {
+            out += "quanta: " + std::to_string(rep.quanta) +
+                   ", mean " +
+                   TextTable::fmt(static_cast<double>(rep.quantumCycles) /
+                                      static_cast<double>(rep.quanta),
+                                  1) +
+                   " cycles; ended by";
+            for (const auto &e : rep.quantumEnds) {
+                out += " " + e.first + "=" + std::to_string(e.second);
+            }
+            out += "\n";
+        }
 
         // Per-worker view: idle time comes from the wave.w<i>.idle /
         // wave.main.await scopes, gate-wait share from the per-core

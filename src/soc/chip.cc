@@ -226,6 +226,7 @@ ChipSimulator::buildChip(const SimConfig &cfg, PolicyKind policyKind,
     homes.resize(static_cast<std::size_t>(nThreads));
     for (int s = 0; s < nThreads; ++s)
         settleHome(s, coreOf[s], ctxOf[s]);
+    indexThreadsByCore();
 
     intervalBase.assign(static_cast<std::size_t>(nThreads), {});
     nextEpochAt = soc.epochCycles;
@@ -359,38 +360,30 @@ ChipSimulator::totalsOf(int thread) const
 }
 
 void
-ChipSimulator::tickAllCoresTimedOrParallel()
+ChipSimulator::indexThreadsByCore()
 {
-    ++cycle;
-    // Decide once, on the main thread, whether this chip cycle's
-    // core ticks are host-timed; the workers read the flag after
-    // their awaitCycle acquire (beginCycle's release publishes it).
-    // Every core samples the same cycles, so per-core scope totals
-    // stay comparable.
-    if (hprof)
-        hprofSample =
-            ++hprofTickN >= hprofEvery ? (hprofTickN = 0, true)
-                                       : false;
+    for (Core &core : cores)
+        core.threadCtxMask = 0;
+    for (int s = 0; s < nThreads; ++s)
+        cores[coreOf[s]].threadCtxMask |= 1u << ctxOf[s];
+}
+
+void
+ChipSimulator::tickQuantum(Cycle q)
+{
+    const Cycle from = cycle + 1;
+    cycle += q;
     if (!wavefront) {
-        if (hprofSample) {
-            for (int c = 0; c < nCores; ++c) {
-                const std::uint64_t t0 = hprof->nowNs();
-                cores[c].pipe->tick();
-                hprof->add(hsCoreTick[static_cast<std::size_t>(c)],
-                           t0, hprof->nowNs());
-            }
-        } else {
-            for (Core &core : cores)
-                core.pipe->tick();
-        }
+        tickCores(0, from, cycle);
         return;
     }
-    // Publish the cycle, tick worker 0's cores on this thread, then
-    // wait for the rest: once awaitAll returns, every core's tick
-    // (and its LLC accesses, in serial core-id order thanks to the
-    // gate) happened-before anything the main thread does next.
-    wavefront->beginCycle(cycle);
-    tickCores(0, cycle);
+    // Publish the quantum end, tick worker 0's cores on this thread,
+    // then wait for the rest: once awaitAll returns, every core's
+    // ticks (and their LLC accesses, in serial (cycle, core) order
+    // thanks to the gate) happened-before anything the main thread
+    // does next.
+    wavefront->beginQuantum(cycle);
+    tickCores(0, from, cycle);
     if (hprof) {
         const std::uint64_t t0 = hprof->nowNs();
         wavefront->awaitAll(cycle);
@@ -401,45 +394,59 @@ ChipSimulator::tickAllCoresTimedOrParallel()
 }
 
 void
-ChipSimulator::tickCores(int w, Cycle t)
+ChipSimulator::tickCores(int w, Cycle from, Cycle to)
 {
-    // Ascending core order per worker is what makes the wavefront's
-    // waits-for relation acyclic — see soc/tick_wavefront.hh.
-    if (hprof && hprofSample) {
+    // Cycle by cycle, ascending core order within a cycle: the order
+    // that makes the wavefront's waits-for relation acyclic — see
+    // soc/tick_wavefront.hh.
+    for (Cycle t = from; t <= to; ++t) {
+        const std::size_t i = static_cast<std::size_t>(t - from);
+        CycleSample *const row = samples.data() + i;
+        // Every core times the same cycles, so per-core scope totals
+        // stay comparable.
+        const bool timed = hprof && t % hprofEvery == 0;
         for (int c = w; c < nCores; c += nTickWorkers) {
-            const std::uint64_t t0 = hprof->nowNs();
-            cores[c].pipe->tick();
-            hprof->add(hsCoreTick[static_cast<std::size_t>(c)], t0,
-                       hprof->nowNs());
-            wavefront->coreDone(c, t);
+            Core &core = cores[static_cast<std::size_t>(c)];
+            if (timed) {
+                const std::uint64_t t0 = hprof->nowNs();
+                core.pipe->tick();
+                hprof->add(hsCoreTick[static_cast<std::size_t>(c)], t0,
+                           hprof->nowNs());
+            } else {
+                core.pipe->tick();
+            }
+            std::uint32_t slow = 0;
+            for (std::uint32_t m = core.threadCtxMask; m; m &= m - 1) {
+                slow += core.mem->pendingL1DLoads(
+                            __builtin_ctz(m)) > 0 ? 1 : 0;
+            }
+            row[static_cast<std::size_t>(c) * maxQuantum] = {
+                slow, static_cast<std::uint32_t>(
+                          core.mem->outstandingMemLoads())};
+            if (wavefront)
+                wavefront->coreDone(c, t);
         }
-        return;
-    }
-    for (int c = w; c < nCores; c += nTickWorkers) {
-        cores[c].pipe->tick();
-        wavefront->coreDone(c, t);
     }
 }
 
 void
-ChipSimulator::workerLoop(int w)
+ChipSimulator::workerLoop(int w, Cycle last)
 {
-    Cycle last = 0;
     const int idleScope =
         hprof ? hsWorkerIdle[static_cast<std::size_t>(w - 1)] : 0;
     for (;;) {
-        Cycle t;
+        Cycle end;
         if (hprof) {
             const std::uint64_t t0 = hprof->nowNs();
-            t = wavefront->awaitCycle(last);
+            end = wavefront->awaitQuantum(last);
             hprof->add(idleScope, t0, hprof->nowNs());
         } else {
-            t = wavefront->awaitCycle(last);
+            end = wavefront->awaitQuantum(last);
         }
-        if (t == TickWavefront::stopCycle)
+        if (end == TickWavefront::stopCycle)
             return;
-        tickCores(w, t);
-        last = t;
+        tickCores(w, last + 1, end);
+        last = end;
     }
 }
 
@@ -454,7 +461,7 @@ ChipSimulator::startTickWorkers()
         return;
 
     nTickWorkers = w;
-    wavefront = std::make_unique<TickWavefront>(nCores);
+    wavefront = std::make_unique<TickWavefront>(nCores, cycle);
     llc->setAccessGate(wavefront.get());
     if (hprof) {
         // Scope registration is single-threaded: both the wavefront
@@ -469,7 +476,8 @@ ChipSimulator::startTickWorkers()
     }
     workers.reserve(static_cast<std::size_t>(w - 1));
     for (int i = 1; i < w; ++i)
-        workers.emplace_back([this, i] { workerLoop(i); });
+        workers.emplace_back(
+            [this, i, start = cycle] { workerLoop(i, start); });
 }
 
 void
@@ -484,10 +492,21 @@ ChipSimulator::stopTickWorkers()
     if (hprof) {
         // The workers joined, so the per-core wait stats are stable;
         // record them into the profile before the wavefront dies.
-        hprof->record("{\"type\": \"wave-config\", \"workers\": " +
-                      std::to_string(nTickWorkers) +
-                      ", \"cores\": " + std::to_string(nCores) +
-                      "}");
+        static const char *const boundNames[numQuantumBounds] = {
+            "commit", "epoch", "drain", "cycle-cap", "audit",
+            "telemetry", "buffer"};
+        std::string cfgRec =
+            "{\"type\": \"wave-config\", \"workers\": " +
+            std::to_string(nTickWorkers) +
+            ", \"cores\": " + std::to_string(nCores) +
+            ", \"quanta\": " + fmtU64(nQuanta) +
+            ", \"quantumCycles\": " + fmtU64(quantumCycles) +
+            ", \"quantumEnds\": {";
+        for (int b = 0; b < numQuantumBounds; ++b) {
+            cfgRec += std::string(b ? ", " : "") + "\"" +
+                      boundNames[b] + "\": " + fmtU64(quantumEnds[b]);
+        }
+        hprof->record(cfgRec + "}}");
         for (int c = 0; c < nCores; ++c) {
             const TickWavefront::WaveStats &ws =
                 wavefront->waveStats(c);
@@ -559,8 +578,6 @@ ChipSimulator::setHostProfiler(HostProfiler *prof)
         return;
     }
     hprof = prof;
-    hprofTickN = 0;
-    hprofSample = false;
     hsCoreTick.clear();
     if (llc)
         llc->setHostProfiler(prof);
@@ -770,6 +787,7 @@ ChipSimulator::completeMigration()
         ++nMigrations;
     }
 
+    indexThreadsByCore();
     migrating = false;
     pendingPlacement.clear();
     if (auditPeriod)
@@ -795,95 +813,154 @@ ChipSimulator::reached(std::uint64_t limit, Cycle &quiet) const
     return false;
 }
 
+void
+ChipSimulator::chipWork()
+{
+    // The epoch/migration machinery runs in warmup and measurement
+    // alike (it is machine behaviour, not a statistic); with one
+    // core there is nowhere to move, so it is skipped entirely.
+    if (nCores <= 1)
+        return;
+    if (migrating) {
+        bool allIdle = true;
+        for (int s = 0; s < nThreads && allIdle; ++s) {
+            if (pendingPlacement[s] != coreOf[s] &&
+                !cores[coreOf[s]].pipe->drainComplete(ctxOf[s]))
+                allIdle = false;
+        }
+        if (allIdle || cycle >= drainDeadline)
+            completeMigration();
+    } else if (soc.epochCycles > 0 && cycle >= nextEpochAt) {
+        nextEpochAt = cycle + soc.epochCycles;
+        runEpoch();
+    }
+    if (auditPeriod && cycle % auditPeriod == 0)
+        auditInvariants();
+}
+
+Cycle
+ChipSimulator::nextQuantum(Cycle maxCycles, Cycle quiet)
+{
+    // Every bound is the number of cycles until the main thread has
+    // something to do, so chipWork, sampling and the commit-limit
+    // check are no-ops on all cycles of the quantum but the last.
+    // Ties go to the bound listed first.
+    Cycle q = quiet + 1; // no thread can reach the limit sooner
+    QuantumBound why = BoundCommit;
+    const auto bound = [&q, &why](Cycle v, QuantumBound b) {
+        if (v < q) {
+            q = v;
+            why = b;
+        }
+    };
+    if (nCores > 1) {
+        if (migrating)
+            bound(1, BoundDrain); // the drain is polled every cycle
+        else if (soc.epochCycles > 0)
+            bound(nextEpochAt > cycle ? nextEpochAt - cycle : 1,
+                  BoundEpoch);
+        if (auditPeriod)
+            bound(auditPeriod - cycle % auditPeriod, BoundAudit);
+    }
+    bound(maxCycles - cycle, BoundCycleCap);
+    // The hub samples its channels and latches phase events every
+    // cycle, in their place among the LLC's events: one-cycle quanta
+    // keep both exactly where the serial loop put them.
+    if (telem)
+        bound(1, BoundTelemetry);
+    bound(maxQuantum, BoundBuffer);
+    ++nQuanta;
+    quantumCycles += q;
+    ++quantumEnds[why];
+    return q;
+}
+
+void
+ChipSimulator::sampleCycle(PhaseStats &stats)
+{
+    TelemetryHub *const hub = telem;
+    int nSlow = 0;
+    for (int s = 0; s < nThreads; ++s) {
+        const ThreadHome &h = homes[s];
+        const bool slow = h.mem->pendingL1DLoads(h.ctx) > 0;
+        if (slow)
+            ++nSlow;
+        if (hub && slow != telemSlow[static_cast<std::size_t>(s)]) {
+            telemSlow[static_cast<std::size_t>(s)] = slow;
+            hub->event(coreTracks[static_cast<std::size_t>(h.core)],
+                       cycle, slow ? "phase-slow" : "phase-fast",
+                       "{\"thread\": " + std::to_string(s) + "}");
+        }
+    }
+    ++stats.slowCycles[static_cast<std::size_t>(nSlow)];
+    std::uint64_t memLoads = 0;
+    for (const Core &core : cores) {
+        memLoads += static_cast<std::uint64_t>(
+            core.mem->outstandingMemLoads());
+    }
+    stats.mlp.sample(memLoads);
+    if (hub)
+        hub->tick(cycle);
+}
+
+bool
+ChipSimulator::runQuanta(std::uint64_t limit, Cycle maxCycles,
+                         Cycle &quiet, PhaseStats *stats)
+{
+    bool done = false;
+    while (!done && cycle < maxCycles) {
+        const Cycle q = nextQuantum(maxCycles, quiet);
+        tickQuantum(q);
+        if (stats) {
+            // Fold the cycles before the last in cycle order; the
+            // last is sampled after chipWork, which may drain or
+            // migrate threads.
+            for (std::size_t i = 0; i + 1 < q; ++i) {
+                std::uint32_t nSlow = 0;
+                std::uint64_t memLoads = 0;
+                for (std::size_t c = 0; c < cores.size(); ++c) {
+                    const CycleSample &cs = samples[c * maxQuantum + i];
+                    nSlow += cs.slowThreads;
+                    memLoads += cs.memLoads;
+                }
+                ++stats->slowCycles[nSlow];
+                stats->mlp.sample(memLoads);
+            }
+        }
+        chipWork();
+        if (stats)
+            sampleCycle(*stats);
+        if (quiet >= q)
+            quiet -= q;
+        else
+            done = reached(limit, quiet);
+    }
+    return done;
+}
+
 SimResult
 ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
                    std::uint64_t warmupCommits)
 {
+    // Sized here, not in buildChip: construction allocates nothing
+    // but the chip's parts (see buildChip for why that matters).
+    samples.resize(static_cast<std::size_t>(nCores) * maxQuantum);
     startTickWorkers();
-
-    // The epoch/migration machinery runs in warmup and measurement
-    // alike (it is machine behaviour, not a statistic); with one
-    // core there is nowhere to move, so it is skipped entirely.
-    auto chipWork = [this]() {
-        if (nCores <= 1)
-            return;
-        if (migrating) {
-            bool allIdle = true;
-            for (int s = 0; s < nThreads && allIdle; ++s) {
-                if (pendingPlacement[s] != coreOf[s] &&
-                    !cores[coreOf[s]].pipe->drainComplete(ctxOf[s]))
-                    allIdle = false;
-            }
-            if (allIdle || cycle >= drainDeadline)
-                completeMigration();
-        } else if (soc.epochCycles > 0 && cycle >= nextEpochAt) {
-            nextEpochAt = cycle + soc.epochCycles;
-            runEpoch();
-        }
-        if (auditPeriod && cycle % auditPeriod == 0)
-            auditInvariants();
-    };
 
     // Cycles the first-to-the-limit check may skip (see reached()).
     Cycle quiet = 0;
     if (warmupCommits > 0) {
-        bool warm = false;
-        while (!warm && cycle < maxCycles) {
-            tickAllCores();
-            chipWork();
-            if (quiet > 0)
-                --quiet;
-            else
-                warm = reached(warmupCommits, quiet);
-        }
+        runQuanta(warmupCommits, maxCycles, quiet, nullptr);
         resetAllStats();
         quiet = 0;
     }
 
     const Cycle statsStart = cycle;
-    std::vector<std::uint64_t> slowCycles(
-        static_cast<std::size_t>(nThreads) + 1, 0);
-    Histogram mlp(64);
-
-    TelemetryHub *const hub = telem;
-    if (hub)
-        hub->beginSampling(cycle);
-
-    bool done = false;
-    while (!done && cycle < maxCycles) {
-        tickAllCores();
-        chipWork();
-
-        int nSlow = 0;
-        for (int s = 0; s < nThreads; ++s) {
-            const ThreadHome &h = homes[s];
-            const bool slow = h.mem->pendingL1DLoads(h.ctx) > 0;
-            if (slow)
-                ++nSlow;
-            if (hub &&
-                slow != telemSlow[static_cast<std::size_t>(s)]) {
-                telemSlow[static_cast<std::size_t>(s)] = slow;
-                hub->event(
-                    coreTracks[static_cast<std::size_t>(h.core)],
-                    cycle, slow ? "phase-slow" : "phase-fast",
-                    "{\"thread\": " + std::to_string(s) + "}");
-            }
-        }
-        ++slowCycles[static_cast<std::size_t>(nSlow)];
-        std::uint64_t memLoads = 0;
-        for (const Core &core : cores) {
-            memLoads += static_cast<std::uint64_t>(
-                core.mem->outstandingMemLoads());
-        }
-        mlp.sample(memLoads);
-        if (hub)
-            hub->tick(cycle);
-
-        if (quiet > 0)
-            --quiet;
-        else
-            done = reached(commitLimit, quiet);
-    }
+    PhaseStats stats;
+    stats.slowCycles.assign(static_cast<std::size_t>(nThreads) + 1, 0);
+    if (telem)
+        telem->beginSampling(cycle);
+    const bool done = runQuanta(commitLimit, maxCycles, quiet, &stats);
 
     stopTickWorkers();
 
@@ -896,8 +973,8 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
 
     SimResult res;
     res.cycles = cycle - statsStart;
-    res.slowPhaseCycles = std::move(slowCycles);
-    res.mlpBusyMean = mlp.meanNonZero();
+    res.slowPhaseCycles = std::move(stats.slowCycles);
+    res.mlpBusyMean = stats.mlp.meanNonZero();
     for (int s = 0; s < nThreads; ++s) {
         const CtxTotals t = totalsOf(s);
         ThreadResult tr;

@@ -7,11 +7,13 @@
  * decides which software threads share a core and periodically
  * reallocates them via a drain-squash-migrate handoff.
  *
- * Determinism: cores tick in core-id order inside every chip cycle,
- * migrations execute between ticks in thread-id order, and every
- * allocator breaks ties deterministically, so a chip run is
- * bit-reproducible (and independent of any host parallelism in the
- * sweep runner, which runs whole chips per job).
+ * Determinism: cores tick in core-id order inside every chip cycle
+ * (a parallel tick reproduces that order at the LLC, see
+ * soc/tick_wavefront.hh), migrations execute between cycles in
+ * thread-id order, and every allocator breaks ties
+ * deterministically, so a chip run is bit-reproducible (and
+ * independent of any host parallelism in the sweep runner, which
+ * runs whole chips per job).
  *
  * A 1-core chip is the paper's single-core machine (Simulator is
  * an alias of this class): the context count follows the workload,
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "bpred/predictor.hh"
+#include "common/stats.hh"
 #include "core/pipeline.hh"
 #include "mem/memory_system.hh"
 #include "mem/shared_cache.hh"
@@ -49,6 +52,10 @@ namespace smt {
 class ChipSimulator
 {
   public:
+    /** The longest quantum run() ticks without a main-thread step
+     *  (the capacity of its per-cycle sample buffer). */
+    static constexpr Cycle maxQuantum = 1024;
+
     /**
      * @param cfg full configuration; cfg.soc shapes the chip. With
      *        numCores == 1 the context count is the workload size
@@ -103,7 +110,9 @@ class ChipSimulator
      * phase transitions as events. All emissions happen on the main
      * thread between cycles, or inside the LLC access stream whose
      * total order the wavefront gate reproduces, so the files are
-     * byte-identical for every --chip-jobs value. A 1-core chip
+     * byte-identical for every --chip-jobs value. The hub samples
+     * and latches phases every cycle, so while one is attached every
+     * quantum is one cycle long. A 1-core chip
      * registers its pipeline's channels unprefixed and only the
      * "core0" event track (no "alloc" track, no chip-level IPC).
      * Call before run().
@@ -117,9 +126,10 @@ class ChipSimulator
      * access/epoch scopes and the chip epoch/migration scopes; a
      * parallel run adds the wavefront gate scopes, per-worker idle
      * scopes and the main thread's await scope, and stopTickWorkers
-     * harvests the per-core gate-wait records. Core ticks are timed
-     * on 1 in prof->sampleEvery() chip cycles (all cores sample the
-     * same cycles). Host times never touch SimResult. A 1-core
+     * harvests the per-core gate-wait records and the quantum
+     * statistics. Core ticks are timed on the chip cycles that are
+     * multiples of prof->sampleEvery() (all cores sample the same
+     * cycles). Host times never touch SimResult. A 1-core
      * chip registers only its pipeline's unprefixed stage scopes
      * ("stage.fetch", ...). Call before run().
      */
@@ -149,12 +159,23 @@ class ChipSimulator
     /** @} */
 
   private:
+    /** What one core contributes to a cycle's run statistics. */
+    struct CycleSample
+    {
+        std::uint32_t slowThreads; //!< homed threads with an L1D
+                                   //!< load miss outstanding
+        std::uint32_t memLoads;    //!< outstandingMemLoads()
+    };
+
     struct Core
     {
         std::unique_ptr<MemorySystem> mem;
         std::unique_ptr<BranchPredictor> bpred;
         std::unique_ptr<Policy> pol;
         std::unique_ptr<Pipeline> pipe;
+        /** Bit k: context k holds a software thread (constant
+         *  within a quantum). */
+        std::uint32_t threadCtxMask = 0;
     };
 
     /** Cumulative per-(core,context) counters a software thread
@@ -212,34 +233,69 @@ class ChipSimulator
      *  hot regions of every thread's initial placement. */
     void prewarmChip();
     void prewarmCore(int core);
-    /** Advance every core one cycle. The serial, unprofiled case
-     *  is inline: it is the run loop's whole per-cycle tick. */
-    void
-    tickAllCores()
-    {
-        if (wavefront || hprof) {
-            tickAllCoresTimedOrParallel();
-            return;
-        }
-        ++cycle;
-        for (Core &core : cores)
-            core.pipe->tick();
-    }
-    void tickAllCoresTimedOrParallel();
     void resetAllStats();
 
-    /** @name Parallel tick (cfg.soc.chipJobs > 1)
-     * Worker w ticks cores {w, w + W, ...} in ascending order; the
-     * main thread is worker 0 and runs everything between cycles
-     * (migrations, epochs, sampling) alone. Determinism comes from
-     * the TickWavefront gate in the SharedCache — see
-     * soc/tick_wavefront.hh for the ordering argument.
+    /** @name Quantum ticking
+     * The run loop advances the chip in quanta of q >= 1 cycles. q
+     * comes from bounds already known when the quantum starts (see
+     * nextQuantum), so the main thread's between-cycle work
+     * (chipWork, sampling, the commit-limit check) is a no-op on
+     * every cycle of a quantum but the last, and runs there only.
+     * Each core records the per-cycle values the run statistics need
+     * (CycleSample) as it ticks; the main thread folds them in cycle
+     * order at the quantum end.
+     *
+     * With cfg.soc.chipJobs > 1, worker w ticks cores {w, w + W, ...}
+     * cycle by cycle, ascending within a cycle; the main thread is
+     * worker 0 and runs everything between quanta (migrations,
+     * epochs, sampling) alone. Determinism comes from the
+     * TickWavefront gate in the SharedCache — see
+     * soc/tick_wavefront.hh for the ordering argument. One worker
+     * is the same loop without the wavefront.
      */
     /** @{ */
+    /** Why a quantum ended where it did: its smallest bound. */
+    enum QuantumBound
+    {
+        BoundCommit,    //!< commit-limit lookahead (reached())
+        BoundEpoch,     //!< next allocator epoch
+        BoundDrain,     //!< migration drain in flight (q = 1)
+        BoundCycleCap,  //!< maxCycles
+        BoundAudit,     //!< next periodic invariant audit
+        BoundTelemetry, //!< hub attached: it samples every cycle
+        BoundBuffer,    //!< CycleSample buffer capacity
+        numQuantumBounds
+    };
+    /** The measured phase's per-cycle statistics. */
+    struct PhaseStats
+    {
+        std::vector<std::uint64_t> slowCycles; //!< by slow count
+        Histogram mlp{64}; //!< outstanding memory loads, chip-wide
+    };
+
+    /** Tick quanta until some thread commits @p limit instructions
+     *  or maxCycles; @p stats (when set) receives every cycle's
+     *  samples. Returns whether the limit was reached. */
+    bool runQuanta(std::uint64_t limit, Cycle maxCycles, Cycle &quiet,
+                   PhaseStats *stats);
+    /** Length of the next quantum (>= 1); counts its bound. */
+    Cycle nextQuantum(Cycle maxCycles, Cycle quiet);
+    /** Advance every core @p q cycles. */
+    void tickQuantum(Cycle q);
+    /** Tick worker @p w's cores through cycles [from, to]. */
+    void tickCores(int w, Cycle from, Cycle to);
+    /** Main-thread work after a cycle: migration drain, epoch,
+     *  audit (multi-core only). */
+    void chipWork();
+    /** Sample the current cycle from the chip state (the quantum's
+     *  last cycle, after chipWork) and tick the telemetry hub. */
+    void sampleCycle(PhaseStats &stats);
+    /** Rebuild every core's threadCtxMask from the placement. */
+    void indexThreadsByCore();
+
     void startTickWorkers();
     void stopTickWorkers();
-    void workerLoop(int w);
-    void tickCores(int w, Cycle t);
+    void workerLoop(int w, Cycle last);
     /** @} */
 
     CtxTotals readCtx(int core, int ctx) const;
@@ -313,6 +369,17 @@ class ChipSimulator
     std::vector<std::thread> workers;
     /** @} */
 
+    /** @name Quantum statistics (reported in --prof's wave-config) */
+    /** @{ */
+    std::uint64_t nQuanta = 0;
+    std::uint64_t quantumCycles = 0;
+    std::uint64_t quantumEnds[numQuantumBounds] = {};
+    /** The current quantum's CycleSamples, maxQuantum per core:
+     *  [core * maxQuantum + i] is written by the core's worker, read
+     *  by the main thread after awaitAll. Sized by run(). */
+    std::vector<CycleSample> samples;
+    /** @} */
+
     /** @name Telemetry (null/empty unless setTelemetry ran) */
     /** @{ */
     TelemetryHub *telem = nullptr;
@@ -324,12 +391,9 @@ class ChipSimulator
     /** @name Host profiling (null/zero unless setHostProfiler ran) */
     /** @{ */
     HostProfiler *hprof = nullptr;
-    std::uint64_t hprofEvery = 0;  //!< cached sampleEvery()
-    std::uint64_t hprofTickN = 0;  //!< decimation counter
-    /** This chip cycle is host-timed. Written by the main thread
-     *  before beginCycle (whose release publishes it), read by the
-     *  workers after their awaitCycle acquire. */
-    bool hprofSample = false;
+    /** Cached sampleEvery(): core ticks of the chip cycles that are
+     *  multiples of it are host-timed. */
+    std::uint64_t hprofEvery = 0;
     std::vector<int> hsCoreTick;   //!< c<i>.tick scope ids
     int hsEpoch = 0;               //!< chip.epoch scope
     int hsMigrate = 0;             //!< chip.migrate scope

@@ -7,10 +7,13 @@
 
 namespace smt {
 
-TickWavefront::TickWavefront(int numCores)
-    : nCores(numCores), cs(static_cast<std::size_t>(numCores))
+TickWavefront::TickWavefront(int numCores, Cycle startCycle)
+    : nCores(numCores), cs(static_cast<std::size_t>(numCores)),
+      go(startCycle)
 {
     SMT_ASSERT(numCores >= 1, "wavefront over %d cores", numCores);
+    for (CoreSync &c : cs)
+        c.done.store(startCycle, std::memory_order_relaxed);
 }
 
 void
@@ -30,17 +33,17 @@ TickWavefront::backoff(unsigned &spins)
 }
 
 void
-TickWavefront::beginCycle(Cycle t)
+TickWavefront::beginQuantum(Cycle end)
 {
-    // The release pairs with awaitCycle's acquire: everything the
-    // main thread did between cycles (migrations, stat resets,
+    // The release pairs with awaitQuantum's acquire: everything the
+    // main thread did between quanta (migrations, stat resets,
     // epoch bookkeeping) is visible to every worker before it
     // touches its cores.
-    go.store(t, std::memory_order_release);
+    go.store(end, std::memory_order_release);
 }
 
 Cycle
-TickWavefront::awaitCycle(Cycle last) const
+TickWavefront::awaitQuantum(Cycle last) const
 {
     unsigned spins = 0;
     Cycle t;
@@ -64,8 +67,7 @@ TickWavefront::awaitAll(Cycle t) const
 {
     for (int c = 0; c < nCores; ++c) {
         unsigned spins = 0;
-        while (cs[static_cast<std::size_t>(c)].done.load(
-                   std::memory_order_acquire) < t)
+        while (!finished(c, t))
             backoff(spins);
     }
 }
@@ -96,18 +98,20 @@ TickWavefront::setHostProfiler(HostProfiler *prof)
 void
 TickWavefront::enter(int core)
 {
-    // The published cycle is stable for the duration of a tick (the
-    // main thread only advances it after awaitAll), and the worker
-    // already acquired it in awaitCycle, so a relaxed load suffices.
-    const Cycle t = go.load(std::memory_order_relaxed);
+    // The core is ticking the cycle after its last completed one;
+    // only its own worker writes that field, so a relaxed load
+    // suffices.
     CoreSync &me = cs[static_cast<std::size_t>(core)];
+    const Cycle t = me.done.load(std::memory_order_relaxed) + 1;
     if (me.granted == t)
         return;
+    // Every (cycle, core) pair before (t, core) in the serial order:
+    // lower ids in this cycle, higher ids in the previous one.
+    const auto due = [core, t](int k) { return k < core ? t : t - 1; };
     if (!hprof) {
-        for (int k = 0; k < core; ++k) {
+        for (int k = 0; k < nCores; ++k) {
             unsigned spins = 0;
-            while (cs[static_cast<std::size_t>(k)].done.load(
-                       std::memory_order_acquire) < t)
+            while (k != core && !finished(k, due(k)))
                 backoff(spins);
         }
         me.granted = t;
@@ -115,16 +119,15 @@ TickWavefront::enter(int core)
     }
 
     // Profiled wait: accumulate into locals while blocked and store
-    // once at the end, so this core's cache line (which higher-id
-    // cores spin on) is not bounced mid-wait.
+    // once at the end, so this core's cache line (which other cores
+    // spin on) is not bounced mid-wait.
     std::uint64_t t0 = 0;
     std::uint64_t spinAcc = 0, yieldAcc = 0;
     bool blocked = false, escalated = false;
     int firstAwaited = -1;
-    for (int k = 0; k < core; ++k) {
+    for (int k = 0; k < nCores; ++k) {
         unsigned spins = 0;
-        while (cs[static_cast<std::size_t>(k)].done.load(
-                   std::memory_order_acquire) < t) {
+        while (k != core && !finished(k, due(k))) {
             if (!blocked) {
                 blocked = true;
                 firstAwaited = k;

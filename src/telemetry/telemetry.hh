@@ -13,9 +13,11 @@
  *    hook on a nullable pointer, and nothing telemetry does may feed
  *    back into simulation timing.
  *  - **Byte-deterministic when on.** Samples are taken on the main
- *    thread between cycles (after the `--chip-jobs` wavefront
- *    barrier), and events are only emitted from (a) the main thread
- *    between cycles or (b) inside the shared-LLC access path, whose
+ *    thread between cycles (a chip with a hub attached ticks
+ *    one-cycle quanta, so every `--chip-jobs` worker has finished
+ *    the cycle), and events are only emitted from (a) the main
+ *    thread between cycles or (b) inside the shared-LLC access path,
+ *    whose
  *    total order across cores is reproduced exactly by the
  *    TickWavefront gate for every worker count. Rendering uses the
  *    fixed-format helpers of common/json.hh. The same run therefore

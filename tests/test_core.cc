@@ -321,4 +321,19 @@ TEST(Pipeline, FpRegistersUntouchedByIntThread)
     EXPECT_EQ(pipe.tracker().occupancy(ResIqFp, 0), 0);
 }
 
+TEST(Pipeline, LongMemoryLatencyGrowsTheCompletionWheel)
+{
+    // A load finishing 2048 or more cycles out used to overflow the
+    // fixed completion wheel and panic. Configured latencies cannot
+    // bound it (bus and MSHR waits add to them), so the wheel grows.
+    SimConfig cfg = smallConfig();
+    cfg.mem.memLatency = 1900;
+    Simulator sim(cfg, {"mcf", "gzip"}, PolicyKind::Icount);
+    const SimResult r = sim.run(2000, 5'000'000);
+    EXPECT_TRUE(r.threads[0].committed >= 2000u ||
+                r.threads[1].committed >= 2000u);
+    EXPECT_LT(r.cycles, 5'000'000u);
+    sim.auditInvariants();
+}
+
 } // anonymous namespace

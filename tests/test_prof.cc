@@ -302,6 +302,19 @@ TEST(ProfSim, ChipProfilerPerturbsNothingAndRecordsWavefront)
             ++waveConfig;
             EXPECT_EQ(v.find("workers")->asU64(), 2u);
             EXPECT_EQ(v.find("cores")->asU64(), 2u);
+            // Every quantum is counted once, under the bound that
+            // ended it, and together they cover the whole run.
+            const std::uint64_t quanta = v.find("quanta")->asU64();
+            EXPECT_GT(quanta, 0u);
+            EXPECT_GE(v.find("quantumCycles")->asU64(), b.cycles);
+            const JsonValue *ends = v.find("quantumEnds");
+            ASSERT_NE(ends, nullptr);
+            EXPECT_EQ(ends->obj.size(), 7u);
+            std::uint64_t ended = 0;
+            for (const auto &kv : ends->obj)
+                ended += kv.second.asU64();
+            EXPECT_EQ(ended, quanta);
+            EXPECT_GT(ends->find("epoch")->asU64(), 0u);
         } else if (type->str == "wavefront") {
             ++wavefront;
             EXPECT_NE(v.find("gateWaits"), nullptr);
@@ -333,7 +346,9 @@ TEST(ProfReport, AggregatesSidecars)
     jobProf.add(c, 0, 1'000'000);
     jobProf.record("{\"type\": \"run\", \"wallNs\": 5000000}");
     jobProf.record("{\"type\": \"wave-config\", \"workers\": 2, "
-                   "\"cores\": 2}");
+                   "\"cores\": 2, \"quanta\": 40, "
+                   "\"quantumCycles\": 1000, \"quantumEnds\": "
+                   "{\"commit\": 1, \"epoch\": 9, \"drain\": 30}}");
     jobProf.record(
         "{\"type\": \"wavefront\", \"core\": 0, \"worker\": 0, "
         "\"gateWaits\": 7, \"spinIters\": 100, \"yieldIters\": 3, "
@@ -364,6 +379,10 @@ TEST(ProfReport, AggregatesSidecars)
     EXPECT_NE(out.find("top scopes"), std::string::npos) << out;
     EXPECT_NE(out.find("stage.fetch"), std::string::npos);
     EXPECT_NE(out.find("wavefront gate waits"), std::string::npos);
+    EXPECT_NE(out.find("quanta: 40, mean 25.0 cycles; ended by "
+                       "commit=1 epoch=9 drain=30"),
+              std::string::npos)
+        << out;
     EXPECT_NE(out.find("== jobs (2"), std::string::npos);
     EXPECT_NE(out.find("baseline cache"), std::string::npos);
     EXPECT_NE(out.find("computes 3"), std::string::npos);

@@ -21,11 +21,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mem/shared_cache.hh"
@@ -34,6 +37,8 @@
 #include "sim/simulator.hh"
 #include "soc/allocator.hh"
 #include "soc/chip.hh"
+#include "soc/tick_wavefront.hh"
+#include "telemetry/telemetry.hh"
 
 namespace {
 
@@ -848,6 +853,151 @@ TEST(ParallelChip, WarmupAndAuditsUnderParallelTick)
     const SimResult parallel = runWith(2);
     expectSameChipResult(serial, parallel, "warmup+audit");
     EXPECT_GT(parallel.migrations, 0u);
+}
+
+SimConfig
+memChipConfig(int cores)
+{
+    SimConfig cfg;
+    cfg.soc.numCores = cores;
+    cfg.soc.contextsPerCore = 2;
+    cfg.soc.allocator = AllocatorKind::Synpa;
+    cfg.soc.epochCycles = 900;
+    cfg.soc.drainTimeout = 400;
+    cfg.soc.llcArbiter = "chip-dcra";
+    return cfg;
+}
+
+std::vector<std::string>
+memChipBenches(int threads)
+{
+    const std::vector<std::string> all = {
+        "mcf", "art", "swim", "equake", "lucas",
+        "twolf", "vpr", "parser", "gzip", "gcc"};
+    return {all.begin(), all.begin() + threads};
+}
+
+SimResult
+runChipWith(SimConfig cfg, const std::vector<std::string> &benches,
+            int jobs, std::uint64_t commits, Cycle maxCycles,
+            std::uint64_t warmup = 0)
+{
+    cfg.soc.chipJobs = jobs;
+    ChipSimulator chip(cfg, benches, PolicyKind::Dcra);
+    return chip.run(commits, maxCycles, warmup);
+}
+
+TEST(ParallelChip, NoEpochsLeavesOnlyLookaheadAndBufferBounds)
+{
+    // Without epochs a quantum ends only at the commit lookahead or
+    // the sample-buffer cap: the longest quanta the chip runs.
+    SimConfig cfg = memChipConfig(4);
+    cfg.soc.epochCycles = 0;
+    const std::vector<std::string> benches = memChipBenches(8);
+    const SimResult serial =
+        runChipWith(cfg, benches, 1, 3000, 1'000'000);
+    EXPECT_EQ(serial.allocEpochs, 0u);
+    EXPECT_GT(serial.cycles, 4 * ChipSimulator::maxQuantum);
+    expectSameChipResult(serial,
+                         runChipWith(cfg, benches, 4, 3000, 1'000'000),
+                         "epoch 0, jobs=4");
+    expectSameChipResult(serial,
+                         runChipWith(cfg, benches, 3, 3000, 1'000'000),
+                         "epoch 0, jobs=3");
+}
+
+TEST(ParallelChip, CycleCapEndsARunMidLookahead)
+{
+    // The commit limit is far out, so the quantum that hits the cap
+    // is cut short by maxCycles, not by the lookahead; an odd cap
+    // also misses every epoch and buffer boundary.
+    const SimConfig cfg = memChipConfig(4);
+    const std::vector<std::string> benches = memChipBenches(8);
+    const Cycle cap = 3 * ChipSimulator::maxQuantum + 333;
+    const SimResult serial =
+        runChipWith(cfg, benches, 1, 1'000'000, cap);
+    EXPECT_EQ(serial.cycles, cap);
+    expectSameChipResult(
+        serial, runChipWith(cfg, benches, 4, 1'000'000, cap),
+        "cycle cap, jobs=4");
+    expectSameChipResult(
+        serial, runChipWith(cfg, benches, 2, 1'000'000, cap),
+        "cycle cap, jobs=2");
+}
+
+TEST(ParallelChip, SeveralCoresPerWorkerWithWarmup)
+{
+    // 5 cores on 2 workers (3 + 2) and 4 cores on 3 workers (2 + 1
+    // + 1): a worker interleaves its cores cycle by cycle, and its
+    // cores run at different gate positions.
+    struct Shape
+    {
+        int cores, threads, jobs;
+    };
+    for (const Shape sh : {Shape{5, 10, 2}, Shape{4, 8, 3}}) {
+        const SimConfig cfg = memChipConfig(sh.cores);
+        const std::vector<std::string> benches =
+            memChipBenches(sh.threads);
+        const std::string what = std::to_string(sh.cores) + " cores, " +
+                                 std::to_string(sh.jobs) + " workers";
+        expectSameChipResult(
+            runChipWith(cfg, benches, 1, 2000, 1'000'000, 800),
+            runChipWith(cfg, benches, sh.jobs, 2000, 1'000'000, 800),
+            what.c_str());
+    }
+}
+
+TEST(ParallelChip, QuantaMatchOneCycleSteps)
+{
+    // A telemetry hub forces one-cycle quanta, i.e. the per-cycle
+    // loop: folding the cores' per-cycle samples at quantum ends must
+    // give the same phase histogram and MLP mean, serial or not.
+    const SimConfig cfg = memChipConfig(4);
+    const std::vector<std::string> benches = memChipBenches(8);
+    const SimResult quanta =
+        runChipWith(cfg, benches, 1, 2500, 1'000'000, 500);
+    for (const int jobs : {1, 4}) {
+        SimConfig c = cfg;
+        c.soc.chipJobs = jobs;
+        TelemetryHub hub(0);
+        ChipSimulator chip(c, benches, PolicyKind::Dcra);
+        chip.setTelemetry(&hub);
+        expectSameChipResult(quanta, chip.run(2500, 1'000'000, 500),
+                             jobs == 1 ? "one-cycle steps, jobs=1"
+                                       : "one-cycle steps, jobs=4");
+    }
+}
+
+TEST(TickWavefrontGate, WaitsForHigherCoreToFinishThePreviousCycle)
+{
+    // Core 0 has finished cycle 1 and enters the LLC in cycle 2;
+    // core 1 is still in cycle 1, which precedes (2, 0) in the
+    // serial order, so core 0 must wait for it.
+    TickWavefront wf(2);
+    wf.enter(0); // cycle 1: nothing precedes (1, 0)
+    wf.coreDone(0, 1);
+    std::atomic<bool> entered{false};
+    std::thread core0([&] {
+        wf.enter(0);
+        entered.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(entered.load());
+    wf.coreDone(1, 1);
+    core0.join();
+    EXPECT_TRUE(entered.load());
+
+    // Core 1 in cycle 2 waits only for core 0's cycle 2.
+    std::atomic<bool> entered1{false};
+    std::thread core1([&] {
+        wf.enter(1);
+        entered1.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(entered1.load());
+    wf.coreDone(0, 2);
+    core1.join();
+    EXPECT_TRUE(entered1.load());
 }
 
 // ---------------------------------------------------------------

@@ -333,6 +333,34 @@ TEST(TelemetrySim, ChipTelemetryByteIdenticalAcrossWorkers)
               std::string::npos);
 }
 
+TEST(TelemetrySim, FourCoreTelemetryByteIdenticalAcrossWorkers)
+{
+    // Phase events come from the main thread, LLC events from the
+    // workers' gated access stream: with four cores on four workers
+    // both must still interleave exactly as in the serial run.
+    auto capture = [](int chipJobs) {
+        SimConfig cfg = telemetryChipConfig(chipJobs);
+        cfg.soc.numCores = 4;
+        cfg.soc.allocator = AllocatorKind::Synpa;
+        TelemetryHub hub(250);
+        ChipSimulator chip(cfg,
+                           {"mcf", "gzip", "art", "crafty", "swim",
+                            "twolf", "equake", "vpr"},
+                           PolicyKind::Dcra);
+        chip.setTelemetry(&hub);
+        (void)chip.run(2500, 2'000'000, 500);
+        return std::make_pair(hub.renderTimeSeries(),
+                              hub.renderChromeTrace());
+    };
+    const auto serial = capture(1);
+    const auto parallel = capture(4);
+    EXPECT_EQ(serial.first, parallel.first);
+    EXPECT_EQ(serial.second, parallel.second);
+    EXPECT_NE(serial.second.find("phase-slow"), std::string::npos);
+    EXPECT_NE(serial.first.find("c3."), std::string::npos);
+    EXPECT_NE(serial.second.find("core3"), std::string::npos);
+}
+
 // ---------------------------------------------------------------
 // sweep integration: v2 schema, cross---jobs bytes, v1 pin
 // ---------------------------------------------------------------

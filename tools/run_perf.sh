@@ -9,7 +9,10 @@
 # path only, so it stays comparable across PRs;
 # "mcycles_per_sec_2c4t" tracks the chip layer's own cost (static
 # arbiter only, comparable since PR 4) and
-# "mcycles_per_sec_2c4t_chipdcra" the arbitration hot path.
+# "mcycles_per_sec_2c4t_chipdcra" the arbitration hot path. The
+# "chip_jobs_scaling" cells run a 4-core x 2-context chip on 1, 2 and
+# 4 tick workers (--chip-jobs) and report each speedup over 1 worker;
+# the host block records the CPU count they depend on.
 # Examples:
 #
 #   tools/run_perf.sh --quick
