@@ -350,6 +350,7 @@ Pipeline::setHostProfiler(HostProfiler *prof,
         return;
     }
     hprofEvery = prof->sampleEvery();
+    hsStage = std::make_unique<int[]>(HsStageCount);
     static const char *const names[HsStageCount] = {
         "stage.mem",    "stage.policy", "stage.commit",
         "stage.writeback", "stage.issue", "stage.flush",
@@ -530,6 +531,48 @@ Pipeline::pushWheel(InstHandle h, Cycle finish)
     if (finish - cycle > wheelMask)
         growWheel(finish - cycle);
     wheel[finish & wheelMask].push_back(h);
+    if (pendingLoads > 0)
+        pushLog.push_back(finish);
+}
+
+void
+Pipeline::settlePending(const MemorySystem::PendingAccess &p,
+                        Cycle ready, ServiceLevel level)
+{
+    if (p.inst) {
+        // Unless a redirect, flush or later miss rewrote it since.
+        ThreadState &ts = threads[p.tid];
+        if (ts.fetchResumeCycle == neverCycle &&
+            ts.fetchTicket == p.ticket)
+            ts.fetchResumeCycle = std::max(ready, p.posted + 1);
+        return;
+    }
+    if (p.owner == MemorySystem::noOwner)
+        return; // a store: nobody waits on it
+
+    // A load issued with its LLC outcome pending: file it on the
+    // wheel where issue would have, behind every push made before it
+    // and ahead of every later one (writeback walks a bucket in push
+    // order). The later pushes to its bucket are the log entries
+    // after its own that name the same finish cycle.
+    const InstHandle h = static_cast<InstHandle>(p.owner >> 32);
+    const std::size_t at = static_cast<std::size_t>(p.owner & 0xffffffffu);
+    DynInst &d = pool[h];
+    const Cycle finish = ready + static_cast<Cycle>(cfg.loadExtraLatency);
+    SMT_ASSERT(finish >= cycle && pushLog[at] == neverCycle,
+               "pending load settled too late");
+    d.memLevel = static_cast<std::uint8_t>(level);
+    d.readyCycle = finish;
+    if (finish - cycle > wheelMask)
+        growWheel(finish - cycle);
+    std::vector<InstHandle> &bucket = wheel[finish & wheelMask];
+    const auto later = std::count(
+        pushLog.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+        pushLog.end(), finish);
+    bucket.insert(bucket.end() - later, h);
+    pushLog[at] = finish;
+    if (--pendingLoads == 0)
+        pushLog.clear();
 }
 
 void
@@ -607,13 +650,30 @@ Pipeline::issueStage()
                         ++r;
                         continue;
                     }
-                    d.memLevel = static_cast<std::uint8_t>(res.level);
-                    finish = res.ready +
-                        static_cast<Cycle>(cfg.loadExtraLatency);
-                    if (policyEvents & EvDataAccess)
-                        policy.onDataAccess(d.tid, d.seq, d.ti.pc,
-                                            res.level, res.ready,
-                                            d.wrongPath);
+                    if (res.pending) {
+                        // The LLC outcome comes later, through
+                        // settlePending(): hold this load's place
+                        // among the wheel pushes until then.
+                        SMT_ASSERT(!(policyEvents & EvDataAccess),
+                                   "pending outcome for a policy "
+                                   "that reads it at issue");
+                        mem.ownPending(
+                            static_cast<std::uint64_t>(h) << 32 |
+                            pushLog.size());
+                        pushLog.push_back(neverCycle);
+                        ++pendingLoads;
+                        finish = neverCycle;
+                    } else {
+                        d.memLevel =
+                            static_cast<std::uint8_t>(res.level);
+                        finish = res.ready +
+                            static_cast<Cycle>(cfg.loadExtraLatency);
+                        if (policyEvents & EvDataAccess)
+                            policy.onDataAccess(d.tid, d.seq,
+                                                d.ti.pc, res.level,
+                                                res.ready,
+                                                d.wrongPath);
+                    }
                 }
             } else {
                 if (isStore(d.ti.op))
@@ -626,7 +686,8 @@ Pipeline::issueStage()
             d.inIQ = false;
             d.inReadyList = false;
             d.readyCycle = finish;
-            pushWheel(h, finish);
+            if (finish != neverCycle)
+                pushWheel(h, finish);
             rtracker.release(iqResource(qc), d.tid);
             rtracker.preIssueDec(d.tid);
             iqRemove(q, h);
@@ -1064,7 +1125,11 @@ Pipeline::fetchFrom(ThreadID t, int &budget)
             if (!fr.accepted)
                 break; // I-MSHRs full, retry next cycle
             if (!fr.hit) {
-                ts.fetchResumeCycle = std::max(fr.ready, cycle + 1);
+                // A pending fill blocks fetch until settlePending().
+                ts.fetchResumeCycle = fr.pending
+                    ? neverCycle
+                    : std::max(fr.ready, cycle + 1);
+                ts.fetchTicket = fr.ticket;
                 break;
             }
             curLine = line;

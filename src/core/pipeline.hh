@@ -154,6 +154,15 @@ class Pipeline
     void setHostProfiler(HostProfiler *prof,
                          const std::string &prefix);
 
+    /**
+     * A load's or I-miss's pending LLC outcome arrived (see
+     * MemorySystem::PendingAccess): file the load on the completion
+     * wheel where issue would have, or lift the fetch block. Wired
+     * as the MemorySystem's pending sink by the chip.
+     */
+    void settlePending(const MemorySystem::PendingAccess &p,
+                       Cycle ready, ServiceLevel level);
+
     /** Run statistics. */
     const PipelineStats &stats() const { return pstats; }
 
@@ -258,6 +267,9 @@ class Pipeline
         bool wrongPathMode = false;
         /** Migration drain: fetch suppressed until detach/attach. */
         bool draining = false;
+        /** While fetchResumeCycle is neverCycle: the ticket of the
+         *  pending I-miss whose settlement may lift it. */
+        std::uint32_t fetchTicket = 0;
         InstSeqNum wpTriggerSeq = 0;
         Addr fetchPc = 0;
         std::uint64_t wpSalt = 0;
@@ -412,13 +424,19 @@ class Pipeline
     /** @name Policy fast-path flags (fixed at construction) */
     /** @{ */
     bool policyGatesAlloc = true; //!< policy.gatesAllocation()
-    unsigned policyEvents = EvAllEvents; //!< policy.eventMask()
     bool anyResourceCap = false;  //!< any cfg.resourceCap[r] >= 0
+    unsigned policyEvents = EvAllEvents; //!< policy.eventMask()
     /** @} */
-    /** wheel.size() - 1. 32 bits fill the padding after the flags
-     *  above, so the Pipeline's size does not change: chip set-up
-     *  time depends on its heap pattern (see ChipSimulator). */
+    /**
+     * wheel.size() - 1, and the loads issued with a pending LLC
+     * outcome (chip cores only) that are not on the wheel yet. Both
+     * fill padding after the flags above, so the Pipeline's size
+     * does not change: set-up time depends on its heap pattern (a
+     * Pipeline 40 bytes larger measured 2x the perfbench core4t_mix
+     * setup_s; see also ChipSimulator::buildChip).
+     */
     std::uint32_t wheelMask = initialWheelSize - 1;
+    std::uint32_t pendingLoads = 0;
 
     std::vector<ThreadState> threads;
     /** Completion wheel: bucket finish & wheelMask holds the
@@ -426,6 +444,12 @@ class Pipeline
      *  (LLC bus and MSHR waits included) have no static bound, so it
      *  grows on demand (growWheel). */
     std::vector<std::vector<InstHandle>> wheel;
+
+    /** While pendingLoads > 0: every wheel push's finish cycle in
+     *  issue order, neverCycle for a pending load's reserved place
+     *  (settlePending() fills it in). Cleared once none is
+     *  pending. */
+    std::vector<Cycle> pushLog;
 
     /** Reused every cycle by fetchStage (no per-cycle allocation). */
     std::vector<FetchCand> fetchCands;
@@ -466,7 +490,10 @@ class Pipeline
         HsFetch,
         HsStageCount
     };
-    int hsStage[HsStageCount] = {};
+    /** Scope id per stage; allocated by setHostProfiler (keeping
+     *  the ids out of line holds the Pipeline's size, see
+     *  wheelMask). */
+    std::unique_ptr<int[]> hsStage;
     /** @} */
 };
 

@@ -5,14 +5,21 @@
  * latency. All paper Table 2 parameters are configurable, including
  * the (memory latency, L2 latency) pairs swept in Figure 7 and the
  * perfect-L1D mode used by Figure 2.
+ *
+ * On a chip, private-L2 misses go to the shared LLC as split
+ * transactions (LlcPort): the access returns at once, *pending*
+ * when the LLC outcome is not known yet, and the outcome is settled
+ * later but before anything could observe it (see PendingAccess).
  */
 
 #ifndef DCRA_SMT_MEM_MEMORY_SYSTEM_HH
 #define DCRA_SMT_MEM_MEMORY_SYSTEM_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -50,6 +57,9 @@ struct MemAccessResult
     Cycle ready = 0;        //!< cycle the data is available
     ServiceLevel level = ServiceLevel::L1;
     bool dtlbMiss = false;
+    /** ready and level wait on a posted LLC request: the pending
+     *  sink hears them (see MemorySystem::PendingAccess). */
+    bool pending = false;
 };
 
 /** Outcome of an instruction fetch probe. */
@@ -58,6 +68,10 @@ struct FetchAccessResult
     bool accepted = false;  //!< false: I-MSHR full, retry next cycle
     bool hit = false;       //!< line present, fetch proceeds now
     Cycle ready = 0;        //!< on a miss: cycle the line arrives
+    /** A miss whose ready waits on a posted LLC request; the
+     *  pending sink hears it under @p ticket. */
+    bool pending = false;
+    std::uint32_t ticket = 0;
 };
 
 /**
@@ -66,6 +80,51 @@ struct FetchAccessResult
 class MemorySystem
 {
   public:
+    /**
+     * An access whose outcome waits on a posted shared-LLC request:
+     * a private-L2 miss (which allocated MSHR @p slot) or an access
+     * that merged into such a miss while it was pending.
+     *
+     * The pending MSHR entry has ready = neverCycle, so it never
+     * retires, and level L2: it counts toward pendingL1DLoads (the
+     * DCRA slow test and the chip's slow-thread sample) exactly as
+     * it will once settled, but not toward the Memory level until
+     * then. The caller holds a pending result (a load not yet on the
+     * completion wheel, a fetch blocked until further notice).
+     *
+     * Nothing reads the outcome before `due`, the request's cycle
+     * plus the lookahead (l1 + l2 + LLC latency: LLC data never
+     * arrives sooner), so settling it any time before the core ticks
+     * `due` is exact. tick() settles every resolved access and blocks
+     * on the LLC only for one that is due and still unresolved;
+     * pendingL2DLoads() settles on demand; settleAll() at a chip
+     * quantum end. Requests are never cancelled: a squash or a
+     * migration leaves them in the serial access stream.
+     */
+    struct PendingAccess
+    {
+        std::uint64_t req = 0;    //!< LLC request (per-core number)
+        std::uint64_t owner = 0;  //!< caller's tag (ownPending)
+        Cycle posted = 0;  //!< cycle the access was made
+        Cycle due = 0;     //!< its request's cycle + lookahead
+        Cycle floor = 0;   //!< merges: the result is no earlier
+        Cycle penalty = 0; //!< TLB miss penalty on top
+        int slot = 0;      //!< MSHR slot allocated or merged into
+        std::uint32_t ticket = 0; //!< this access's own number
+        ThreadID tid = invalidThread;
+        bool inst = false;  //!< I-side (mshrI)
+        bool merge = false; //!< merged into a pending miss
+        bool load = false;  //!< D-side load that allocated @p slot
+    };
+
+    /** Owner tag of an access nobody waits on (a store). */
+    static constexpr std::uint64_t noOwner = ~std::uint64_t(0);
+
+    /** Hears each pending access's final ready cycle and service
+     *  level (the core's Pipeline). */
+    using PendingSink = std::function<void(
+        const PendingAccess &p, Cycle ready, ServiceLevel level)>;
+
     /**
      * @param params hierarchy configuration.
      * @param numThreads number of hardware contexts.
@@ -88,14 +147,42 @@ class MemorySystem
     /** Probe the I-side for the line containing pc. */
     FetchAccessResult instFetch(ThreadID tid, Addr pc, Cycle now);
 
-    /** Retire completed misses; call once per cycle. Inline: with
-     *  the MSHR earliest-ready gate this is usually two compares. */
+    /** Settle pending accesses (see PendingAccess), then retire
+     *  completed misses; call once per cycle, first. Inline: with
+     *  nothing pending and the MSHR earliest-ready gate this is
+     *  usually three compares. */
     void
     tick(Cycle now)
     {
+        curCycle = now;
+        if (!pend.empty())
+            settleDue(now);
         mshrD.retire(now);
         mshrI.retire(now);
     }
+
+    /** Tag the access that just returned pending; the sink gets the
+     *  tag back in PendingAccess::owner. */
+    void ownPending(std::uint64_t owner) { pend.back().owner = owner; }
+
+    /** Settle every pending access now, after the tick of cycle
+     *  @p now (whose sample the chip takes afterwards). Each one's
+     *  request must be resolved (a chip quantum end resolves all of
+     *  them first). */
+    void settleAll(Cycle now);
+
+    /**
+     * Loads whose pending miss settled memory-level, as [first,
+     * second) cycle ranges in which the per-cycle outstandingMemLoads()
+     * still counted them at the L2 level; the chip adds one to those
+     * cycles' samples, then clears the list.
+     */
+    const std::vector<std::pair<Cycle, Cycle>> &
+    lateMemLoads() const
+    {
+        return lateMem;
+    }
+    void clearLateMemLoads() { lateMem.clear(); }
 
     /** Zero all statistics; cache/TLB contents are untouched. */
     void resetStats();
@@ -118,10 +205,16 @@ class MemorySystem
         return mshrD.pendingLoads(tid, ServiceLevel::L2);
     }
 
-    /** Outstanding memory-level (L2-missing) loads for a thread. */
+    /** Outstanding memory-level (L2-missing) loads for a thread.
+     *  Settles pending loads first: the count depends on their
+     *  LLC outcome (logically const — the outcome is already
+     *  determined, only not yet applied). */
     int
     pendingL2DLoads(ThreadID tid) const
     {
+        if (pendLoads > 0)
+            const_cast<MemorySystem *>(this)->settleNow(
+                LlcPort::TrigL2Loads);
         return mshrD.outstandingLoads(tid, ServiceLevel::Memory);
     }
 
@@ -158,25 +251,73 @@ class MemorySystem
 
     /**
      * Wire this core's private hierarchy onto a chip-shared LLC:
-     * private-L2 misses (data and instruction side) are serviced by
-     * @p llc as core @p coreId instead of being charged the flat
-     * memLatency. Never called in single-core configurations, so
-     * their timing is exactly the pre-CMP model.
+     * private-L2 misses (data and instruction side) are posted to
+     * @p port as core @p coreId instead of being charged the flat
+     * memLatency, and pending outcomes go to @p sink. An outcome is
+     * due @p lookahead cycles after its access; with @p syncWhy
+     * other than LlcPort::numTriggers every request is awaited at
+     * post (a reader needs outcomes at once). Never called in
+     * single-core configurations, so their timing is exactly the
+     * pre-CMP model.
      */
-    void
-    attachLlc(SharedCache *llc_, int coreId_)
-    {
-        llc = llc_;
-        coreId = coreId_;
-    }
+    void attachLlc(LlcPort *port, int coreId, Cycle lookahead,
+                   LlcPort::Trigger syncWhy, PendingSink sink);
 
   private:
+    /** Post a private-L2 miss at cycle @p t. True with @p ready /
+     *  @p level set when the outcome is known at once; false when
+     *  it is pending on request postedReq. */
+    bool postLlc(Addr addr, Cycle t, Cycle &ready, ServiceLevel &level);
+
+    /** Record a pending miss on request postedReq that allocated
+     *  MSHR @p slot; returns its ticket. */
+    std::uint32_t pendAlloc(bool inst, int slot, ThreadID tid,
+                            bool load, Cycle now, Cycle penalty);
+
+    /** Record an access merged into pending MSHR @p slot; its ready
+     *  is max(the miss's, @p floor) + @p penalty. Returns its
+     *  ticket. */
+    std::uint32_t pendMerge(bool inst, int slot, ThreadID tid,
+                            Cycle now, Cycle floor, Cycle penalty);
+
+    /** Queue @p a (ticketed, unowned); returns its ticket. */
+    std::uint32_t addPending(PendingAccess a);
+
+    /** tick(): settle what is resolved, block on what is due. */
+    void settleDue(Cycle now);
+
+    /** Await every pending load's request (reason @p why) and
+     *  settle. */
+    void settleNow(LlcPort::Trigger why);
+
+    /** Settle every access whose request is resolved; cycles from
+     *  @p seenFrom on are sampled after it. Rescans the rest for
+     *  the next due one. */
+    void applyResolved(Cycle seenFrom);
+
     MemParams p;
     int nThreads;
 
-    /** Chip-shared next level; null in single-core configurations. */
-    SharedCache *llc = nullptr;
+    /** @name Chip-shared next level (null in single-core
+     *  configurations) and the pending-access state */
+    /** @{ */
+    LlcPort *llc = nullptr;
     int coreId = 0;
+    Cycle lookahead = 0;
+    LlcPort::Trigger syncWhy = LlcPort::numTriggers;
+    PendingSink sink;
+    /** Unsettled accesses, in the order they were made. */
+    std::vector<PendingAccess> pend;
+    std::uint32_t nextTicket = 0;
+    std::uint64_t postedReq = 0;   //!< last request postLlc() posted
+    std::uint64_t lastLoadReq = 0; //!< newest pending load's request
+    int pendLoads = 0;             //!< pending D-side load allocs
+    std::uint64_t seenResolved = 0; //!< resolved count last applied
+    Cycle nextDue = neverCycle;     //!< earliest due among pend
+    std::uint64_t dueReq = 0;       //!< request of that access
+    Cycle curCycle = 0;             //!< cycle of the latest tick()
+    std::vector<std::pair<Cycle, Cycle>> lateMem;
+    /** @} */
 
     std::unique_ptr<Cache> l1iCache;
     std::unique_ptr<Cache> l1dCache;

@@ -22,11 +22,13 @@ MshrFile::find(Addr line) const
     return nullptr;
 }
 
-void
+int
 MshrFile::alloc(Addr line, Cycle ready, ThreadID tid,
                 ServiceLevel level, bool isLoad)
 {
     SMT_ASSERT(!full(), "MSHR alloc on full file");
+    SMT_ASSERT(ready != neverCycle || level == ServiceLevel::L2,
+               "a pending MSHR entry counts as an L2 miss");
     for (auto &e : entries) {
         if (!e.valid) {
             e = Entry{line, ready, tid, level, isLoad, true};
@@ -38,10 +40,30 @@ MshrFile::alloc(Addr line, Cycle ready, ThreadID tid,
                 if (level == ServiceLevel::Memory)
                     ++memLoadTotal;
             }
-            return;
+            return slotOf(&e);
         }
     }
     panic("MSHR file inconsistent: full() false but no free entry");
+}
+
+void
+MshrFile::settle(int slot, Cycle ready, ServiceLevel level)
+{
+    Entry &e = entries[static_cast<std::size_t>(slot)];
+    SMT_ASSERT(e.valid && e.ready == neverCycle,
+               "settling MSHR slot %d, which is not pending", slot);
+    e.ready = ready;
+    if (ready < nextReady)
+        nextReady = ready;
+    if (level == e.level)
+        return;
+    if (e.isLoad) {
+        --loadCount[e.tid][static_cast<int>(e.level)];
+        ++loadCount[e.tid][static_cast<int>(level)];
+        if (level == ServiceLevel::Memory)
+            ++memLoadTotal;
+    }
+    e.level = level;
 }
 
 int

@@ -6,6 +6,12 @@
  * new downstream traffic). The pool size bounds the achievable
  * memory-level parallelism, which is the quantity DCRA tries to
  * raise for slow threads.
+ *
+ * An entry may be *pending*: allocated for a chip core's private-L2
+ * miss whose shared-LLC outcome is not known yet (see
+ * MemorySystem::PendingAccess). Its ready cycle is neverCycle, so it
+ * never retires, and it counts as an L2-level miss until settle()
+ * gives it the real ready cycle and level.
  */
 
 #ifndef DCRA_SMT_MEM_MSHR_HH
@@ -52,11 +58,29 @@ class MshrFile
     bool full() const { return liveCount == entries.size(); }
 
     /**
-     * Allocate an entry.
+     * Allocate an entry; returns its slot. A @p ready of neverCycle
+     * makes it pending (level must then be L2).
      * @pre !full() and no entry for this line exists.
      */
-    void alloc(Addr line, Cycle ready, ThreadID tid,
-               ServiceLevel level, bool isLoad);
+    int alloc(Addr line, Cycle ready, ThreadID tid, ServiceLevel level,
+              bool isLoad);
+
+    /** Give pending entry @p slot its outcome. */
+    void settle(int slot, Cycle ready, ServiceLevel level);
+
+    /** The entry in @p slot. */
+    const Entry &
+    entry(int slot) const
+    {
+        return entries[static_cast<std::size_t>(slot)];
+    }
+
+    /** Slot of an entry find() returned. */
+    int
+    slotOf(const Entry *e) const
+    {
+        return static_cast<int>(e - entries.data());
+    }
 
     /**
      * Release all entries whose fill has arrived.

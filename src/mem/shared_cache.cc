@@ -10,6 +10,15 @@
 
 namespace smt {
 
+const char *
+LlcPort::triggerName(Trigger t)
+{
+    static const char *const names[numTriggers] = {
+        "post", "deadline", "demand-data-access", "demand-l2-loads",
+        "demand-telemetry", "demand-zero-lookahead", "quantum-end"};
+    return names[t];
+}
+
 std::string
 validateSharedCacheParams(const SharedCacheParams &p, int numCores)
 {
@@ -18,6 +27,13 @@ validateSharedCacheParams(const SharedCacheParams &p, int numCores)
         std::snprintf(buf, sizeof(buf),
                       "LLC needs at least one core (got %d)",
                       numCores);
+        return buf;
+    }
+    if (numCores > ResourceDomain::maxDomainClaimants) {
+        std::snprintf(buf, sizeof(buf),
+                      "LLC arbitration supports at most %d cores "
+                      "(got %d)",
+                      ResourceDomain::maxDomainClaimants, numCores);
         return buf;
     }
     if (p.mshrsPerCore < 1) {
@@ -60,6 +76,17 @@ validateSharedCacheParams(const SharedCacheParams &p, int numCores)
     return {};
 }
 
+const SharedCacheParams &
+SharedCache::validated(const SharedCacheParams &p, int numCores)
+{
+    // Runs first in the member-init list: a bad core count must be a
+    // fatal() here, not an assert in the ResourceDomain built below.
+    const std::string err = validateSharedCacheParams(p, numCores);
+    if (!err.empty())
+        fatal("%s", err.c_str());
+    return p;
+}
+
 std::vector<ResourceKind>
 SharedCache::llcKinds(const SharedCacheParams &p, int numCores)
 {
@@ -95,16 +122,13 @@ SharedCache::SharedCache(const SharedCacheParams &params,
 SharedCache::SharedCache(const SharedCacheParams &params,
                          int numCores,
                          std::unique_ptr<ResourceArbiter> arbiter)
-    : p(params), nCores(numCores),
+    : p(validated(params, numCores)), nCores(numCores),
       busSlotsPerWindow(
           static_cast<int>(p.busWindow / std::max<Cycle>(
               1, p.busLatency))),
       llc(p.tags), dom("llc", numCores, llcKinds(params, numCores)),
       arb(std::move(arbiter))
 {
-    const std::string err = validateSharedCacheParams(p, numCores);
-    if (!err.empty())
-        fatal("%s", err.c_str());
     SMT_ASSERT(arb != nullptr, "null LLC arbiter");
 
     arb->bindDomain({&dom});
@@ -255,13 +279,6 @@ LlcResult
 SharedCache::access(int core, Addr addr, Cycle now)
 {
     SMT_ASSERT(core >= 0 && core < nCores, "bad core %d", core);
-    // Parallel tick: wait until every lower-id core finished the
-    // current chip cycle, so the shared state below is mutated in
-    // the exact serial order. No-op (one branch) in serial runs.
-    if (gate)
-        gate->enter(core);
-    // Timed from here (after the gate): gate waits belong to the
-    // wavefront scopes, the LLC scope covers only the real work.
     ProfScope hps(hprof, hsAccess);
     advanceEpochs(now);
     ++sAcc[core];
@@ -269,10 +286,10 @@ SharedCache::access(int core, Addr addr, Cycle now)
     if (tlm && lastAccCycleT[static_cast<std::size_t>(core)] != now) {
         // First access of this core at timestamp `now`. Accesses of
         // one chip cycle all carry the same timestamp and arrive in
-        // core-id order (serially, or reproduced by the wavefront
-        // gate), so finding the timestamp already opened by another
-        // core means this entry sat behind the LLC gate — record the
-        // serial-order fact, which is identical for every --chip-jobs
+        // core-id order (the LlcPort resolves them in the serial
+        // order), so finding the timestamp already opened by another
+        // core means lower cores touched the LLC first this cycle —
+        // a serial-order fact, identical for every --chip-jobs
         // value.
         lastAccCycleT[static_cast<std::size_t>(core)] = now;
         if (gateCycle == now) {

@@ -30,8 +30,10 @@
  *
  * Shares recompute at arbitration-epoch boundaries (params.arbEpoch
  * cycles), advanced lazily on the access stream — which is
- * deterministic (cores tick in a fixed order inside one chip
- * cycle), so the whole chip simulation stays bit-reproducible.
+ * deterministic: access() is only ever called through the LlcPort
+ * below, which replays the serial chip's (cycle, core) order for
+ * every worker count, so the whole chip simulation stays
+ * bit-reproducible.
  */
 
 #ifndef DCRA_SMT_MEM_SHARED_CACHE_HH
@@ -82,22 +84,65 @@ struct LlcResult
 };
 
 /**
- * Ordering gate for parallel chip execution. When installed (see
- * SharedCache::setAccessGate), every access() calls enter(core)
- * first; the parallel tick's implementation (soc/tick_wavefront.hh)
- * blocks there until every (cycle, core) pair before the caller's
- * in the serial order has finished — lower-id cores the caller's
- * cycle, higher-id cores the one before — which reproduces the
- * serial access sequence exactly. Serial execution installs none and pays one
- * null-pointer test per access.
+ * The split-transaction front of the shared LLC, as a core's
+ * MemorySystem sees it (implemented by soc/TickWavefront for every
+ * multi-core chip, whatever its worker count).
+ *
+ * A private-L2 miss is *posted* as a request (core, its cycle T,
+ * address, arrival time now = T + l1 + l2) and the core keeps
+ * ticking. Requests are *resolved* — SharedCache::access called with
+ * the posted arguments — one at a time and in the serial chip's
+ * order: by (cycle, core), then post order. So the LLC sees exactly
+ * the access sequence of a serial tick, whichever host thread
+ * happens to resolve a request. A core's requests resolve in post
+ * order, so "resolved" is a prefix of its posts.
+ *
+ * No outcome is used before T + l1 + l2 + llc.latency (the
+ * lookahead): LLC data never reaches the core sooner. The owning
+ * core applies each outcome before it ticks that cycle, and blocks
+ * only if the request is still unresolved then (see
+ * MemorySystem::PendingAccess for the pending state in between).
  */
-class LlcAccessGate
+class LlcPort
 {
   public:
-    virtual ~LlcAccessGate() = default;
+    /** Why a request was resolved or awaited (counted per trigger
+     *  in --prof's wave-config record). */
+    enum Trigger
+    {
+        TrigPost,          //!< at some core's post
+        TrigDeadline,      //!< a core reached the cycle it was due
+        TrigDataAccess,    //!< demand: policy.onDataAccess needs it
+        TrigL2Loads,       //!< demand: pendingL2DLoads() read
+        TrigTelemetry,     //!< demand: a hub orders LLC events
+        TrigZeroLookahead, //!< demand: due the cycle it was made
+        TrigQuantumEnd,    //!< the main thread, between quanta
+        numTriggers
+    };
 
-    /** Block until @p core may touch the shared state this cycle. */
-    virtual void enter(int core) = 0;
+    /** Stable names of the triggers (profile records). */
+    static const char *triggerName(Trigger t);
+
+    virtual ~LlcPort() = default;
+
+    /**
+     * Post @p core's private-L2 miss made in its cycle @p t and
+     * arriving at the LLC at @p now. Returns the request's per-core
+     * sequence number; it is resolved at once when nothing precedes
+     * it (always, in a serial tick).
+     */
+    virtual std::uint64_t post(int core, Cycle t, Addr addr,
+                               Cycle now) = 0;
+
+    /** How many of @p core's requests are resolved. */
+    virtual std::uint64_t resolved(int core) const = 0;
+
+    /** Outcome of @p core's resolved request @p req. */
+    virtual LlcResult result(int core, std::uint64_t req) const = 0;
+
+    /** Block until @p core's request @p req is resolved, resolving
+     *  requests (anyone's, in order) meanwhile. */
+    virtual void await(int core, std::uint64_t req, Trigger why) = 0;
 };
 
 class SharedCache
@@ -176,30 +221,23 @@ class SharedCache
     /** @} */
 
     /**
-     * Install (or, with nullptr, remove) the parallel-tick ordering
-     * gate. The gate outlives every access() made while installed;
-     * the chip layer installs it for the duration of a parallel run.
-     */
-    void setAccessGate(LlcAccessGate *g) { gate = g; }
-
-    /**
      * Opt into telemetry: per-core access/miss/miss-rate/bus-wait
      * channels, deterministic gate-order events (core c's first LLC
      * access of a chip cycle arriving after lower cores already
-     * touched the LLC that cycle — the access-stream fact behind a
-     * potential TickWavefront gate wait, identical for every
-     * --chip-jobs value), and the arbiter's own event stream.
-     * Emissions happen inside access(), whose total order across
-     * cores is reproduced exactly by the wavefront gate.
+     * touched the LLC that cycle — a fact of the serial access
+     * order, identical for every --chip-jobs value), and the
+     * arbiter's own event stream. Emissions happen inside access(),
+     * whose total order across cores the LlcPort reproduces
+     * exactly.
      */
     void attachTelemetry(TelemetryHub &hub);
 
     /**
      * Attach the host wall-clock profiler (--prof): times access()
-     * bodies (llc.access, started *after* the ordering gate so gate
-     * waits are accounted to the wavefront, not the LLC) and the
+     * bodies (llc.access; waiting for a request to become
+     * resolvable is accounted to the wavefront, not the LLC) and the
      * arbitration-epoch boundary work (llc.arbEpoch). Accumulation
-     * is thread-safe (worker threads call access()); registration
+     * is thread-safe (worker threads resolve requests); registration
      * must happen before the run starts. Null detaches.
      */
     void setHostProfiler(HostProfiler *prof);
@@ -220,6 +258,11 @@ class SharedCache
     const SharedCacheParams &params() const { return p; }
 
   private:
+    /** @p p, once validateSharedCacheParams accepts it (else
+     *  fatal()). */
+    static const SharedCacheParams &validated(
+        const SharedCacheParams &p, int numCores);
+
     /** The chip-level domain's resource kinds. */
     static std::vector<ResourceKind> llcKinds(
         const SharedCacheParams &p, int numCores);
@@ -249,9 +292,6 @@ class SharedCache
     ResourceDomain dom;
     std::unique_ptr<ResourceArbiter> arb;
     unsigned arbEvents = 0; //!< cached arbEventMask()
-
-    /** Parallel-tick ordering gate; null in serial execution. */
-    LlcAccessGate *gate = nullptr;
 
     /** Retire times of each core's outstanding LLC misses. */
     std::vector<std::vector<Cycle>> outstanding;
@@ -288,7 +328,7 @@ class SharedCache
      * plus the fixed private-hierarchy offset) and the stream visits
      * cycle-T accesses in core-id order before any cycle-T+1 access,
      * so "first access at a timestamp someone already opened" is
-     * exactly the serial-order fact the TickWavefront gate enforces.
+     * exactly a fact of the serial (cycle, core) order.
      */
     /** @{ */
     TelemetryHub *tlm = nullptr;

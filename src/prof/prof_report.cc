@@ -51,6 +51,11 @@ struct Report
     std::uint64_t quantumCycles = 0;
     /** Quanta ended per bound, in first-seen order. */
     std::vector<std::pair<std::string, std::uint64_t>> quantumEnds;
+    std::uint64_t lookahead = 0;  //!< largest LLC lookahead seen
+    std::uint64_t llcPosted = 0;  //!< LLC requests posted
+    std::uint64_t blockedWaits = 0;
+    /** LLC requests resolved per trigger, in first-seen order. */
+    std::vector<std::pair<std::string, std::uint64_t>> resolvedBy;
     std::uint64_t runWallNs = 0; //!< summed "run" records
     std::vector<JobAgg> jobs;
     std::uint64_t baselineComputes = 0;
@@ -74,6 +79,24 @@ readFileText(const std::string &path, std::string &out,
         out.append(buf, n);
     std::fclose(f);
     return true;
+}
+
+/** Add a {"name": count, ...} object into @p counts, keeping the
+ *  names in first-seen order. */
+void
+addCounts(std::vector<std::pair<std::string, std::uint64_t>> &counts,
+          const JsonValue &obj)
+{
+    for (const auto &kv : obj.obj) {
+        auto it = std::find_if(
+            counts.begin(), counts.end(),
+            [&kv](const auto &e) { return e.first == kv.first; });
+        if (it == counts.end()) {
+            counts.emplace_back(kv.first, 0);
+            it = counts.end() - 1;
+        }
+        it->second += kv.second.asU64();
+    }
 }
 
 bool
@@ -164,20 +187,16 @@ ingestFile(const std::string &path, Report &rep, std::string &err)
                 rep.quanta += x->asU64();
             if (const JsonValue *x = v.find("quantumCycles"))
                 rep.quantumCycles += x->asU64();
-            if (const JsonValue *x = v.find("quantumEnds")) {
-                for (const auto &kv : x->obj) {
-                    auto it = std::find_if(
-                        rep.quantumEnds.begin(), rep.quantumEnds.end(),
-                        [&kv](const auto &e) {
-                            return e.first == kv.first;
-                        });
-                    if (it == rep.quantumEnds.end()) {
-                        rep.quantumEnds.emplace_back(kv.first, 0);
-                        it = rep.quantumEnds.end() - 1;
-                    }
-                    it->second += kv.second.asU64();
-                }
-            }
+            if (const JsonValue *x = v.find("quantumEnds"))
+                addCounts(rep.quantumEnds, *x);
+            if (const JsonValue *x = v.find("lookahead"))
+                rep.lookahead = std::max(rep.lookahead, x->asU64());
+            if (const JsonValue *x = v.find("llcPosted"))
+                rep.llcPosted += x->asU64();
+            if (const JsonValue *x = v.find("blockedWaits"))
+                rep.blockedWaits += x->asU64();
+            if (const JsonValue *x = v.find("resolvedBy"))
+                addCounts(rep.resolvedBy, *x);
         } else if (type->str == "run") {
             if (const JsonValue *x = v.find("wallNs"))
                 rep.runWallNs += x->asU64();
@@ -343,6 +362,20 @@ renderProfReport(const std::vector<std::string> &paths,
                                   1) +
                    " cycles; ended by";
             for (const auto &e : rep.quantumEnds) {
+                out += " " + e.first + "=" + std::to_string(e.second);
+            }
+            out += "\n";
+        }
+
+        // Split-transaction LLC: how its requests got resolved, and
+        // how often a core had to block for one.
+        if (rep.llcPosted > 0) {
+            out += "llc requests: " + std::to_string(rep.llcPosted) +
+                   " posted, lookahead " +
+                   std::to_string(rep.lookahead) + " cycles, " +
+                   std::to_string(rep.blockedWaits) +
+                   " blocked waits; resolved by";
+            for (const auto &e : rep.resolvedBy) {
                 out += " " + e.first + "=" + std::to_string(e.second);
             }
             out += "\n";

@@ -134,12 +134,7 @@ ChipSimulator::buildChip(const SimConfig &cfg, PolicyKind policyKind,
     coreCfg.numThreads = nCtx;
 
     if (nCores > 1) {
-        SharedCacheParams lp = cfg.soc.llc;
-        // The LLC's backing-memory latency always follows the
-        // hierarchy configuration (Figure 7 style sweeps move it).
-        lp.memLatency = cfg.mem.memLatency;
-        if (cfg.soc.llcWays > 0)
-            lp.tags.assoc = cfg.soc.llcWays;
+        const SharedCacheParams lp = llcParams(cfg);
         LlcArbiterConfig ac;
         ac.numCores = nCores;
         ac.mshrsPerCore = lp.mshrsPerCore;
@@ -189,8 +184,6 @@ ChipSimulator::buildChip(const SimConfig &cfg, PolicyKind policyKind,
     for (int c = 0; c < nCores; ++c) {
         Core &core = cores[c];
         core.mem = std::make_unique<MemorySystem>(cfg.mem, nCtx);
-        if (llc)
-            core.mem->attachLlc(llc.get(), c);
         core.bpred =
             std::make_unique<BranchPredictor>(cfg.bpred, nCtx);
         core.pol = customPolicy ? std::move(customPolicy)
@@ -230,6 +223,27 @@ ChipSimulator::buildChip(const SimConfig &cfg, PolicyKind policyKind,
 
     intervalBase.assign(static_cast<std::size_t>(nThreads), {});
     nextEpochAt = soc.epochCycles;
+}
+
+Cycle
+ChipSimulator::llcLookahead() const
+{
+    // No LLC outcome reaches a core sooner than this after the
+    // access that missed its private L2.
+    const MemParams &mp = cores[0].mem->params();
+    return mp.l1Latency + mp.l2Latency + llc->params().latency;
+}
+
+SharedCacheParams
+ChipSimulator::llcParams(const SimConfig &cfg)
+{
+    SharedCacheParams lp = cfg.soc.llc;
+    // The LLC's backing-memory latency always follows the hierarchy
+    // configuration (Figure 7 style sweeps move it).
+    lp.memLatency = cfg.mem.memLatency;
+    if (cfg.soc.llcWays > 0)
+        lp.tags.assoc = cfg.soc.llcWays;
+    return lp;
 }
 
 void
@@ -373,15 +387,16 @@ ChipSimulator::tickQuantum(Cycle q)
 {
     const Cycle from = cycle + 1;
     cycle += q;
-    if (!wavefront) {
+    if (workers.empty()) {
         tickCores(0, from, cycle);
+        if (wavefront)
+            settleQuantum(from);
         return;
     }
     // Publish the quantum end, tick worker 0's cores on this thread,
     // then wait for the rest: once awaitAll returns, every core's
-    // ticks (and their LLC accesses, in serial (cycle, core) order
-    // thanks to the gate) happened-before anything the main thread
-    // does next.
+    // ticks (and the requests they posted) happened-before anything
+    // the main thread does next.
     wavefront->beginQuantum(cycle);
     tickCores(0, from, cycle);
     if (hprof) {
@@ -391,6 +406,7 @@ ChipSimulator::tickQuantum(Cycle q)
     } else {
         wavefront->awaitAll(cycle);
     }
+    settleQuantum(from);
 }
 
 void
@@ -423,9 +439,42 @@ ChipSimulator::tickCores(int w, Cycle from, Cycle to)
             row[static_cast<std::size_t>(c) * maxQuantum] = {
                 slow, static_cast<std::uint32_t>(
                           core.mem->outstandingMemLoads())};
-            if (wavefront)
-                wavefront->coreDone(c, t);
+            if (!wavefront)
+                continue;
+            if (!core.mem->lateMemLoads().empty())
+                addLateMemLoads(c, from);
+            wavefront->coreDone(c, t);
         }
+    }
+}
+
+void
+ChipSimulator::addLateMemLoads(int c, Cycle from)
+{
+    MemorySystem &mem = *cores[static_cast<std::size_t>(c)].mem;
+    for (const auto &late : mem.lateMemLoads()) {
+        SMT_ASSERT(late.first >= from,
+                   "late memory load from before the quantum");
+        for (Cycle t = late.first; t < late.second; ++t) {
+            samples[static_cast<std::size_t>(c) * maxQuantum +
+                    static_cast<std::size_t>(t - from)]
+                .memLoads += 1;
+        }
+    }
+    mem.clearLateMemLoads();
+}
+
+void
+ChipSimulator::settleQuantum(Cycle from)
+{
+    // Every pair through the quantum's end is complete, so every
+    // request is resolvable: resolve the rest, and let each core
+    // take its outcomes now, before chipWork and sampling read any
+    // core state.
+    wavefront->resolveAll();
+    for (int c = 0; c < nCores; ++c) {
+        cores[static_cast<std::size_t>(c)].mem->settleAll(cycle);
+        addLateMemLoads(c, from);
     }
 }
 
@@ -451,22 +500,49 @@ ChipSimulator::workerLoop(int w, Cycle last)
 }
 
 void
-ChipSimulator::startTickWorkers()
+ChipSimulator::startWavefront()
 {
+    if (nCores <= 1)
+        return;
     int w = soc.chipJobs;
     if (w <= 0)
         w = static_cast<int>(std::thread::hardware_concurrency());
     w = std::min(std::max(w, 1), nCores);
-    if (w <= 1 || nCores <= 1)
+
+    // Every multi-core run reaches the LLC through the wavefront's
+    // split transactions, serial or not; it and the cores' pending
+    // state are sized here, not at construction (see buildChip).
+    const MemParams &mp = cores[0].mem->params();
+    wavefront = std::make_unique<TickWavefront>(
+        *llc, nCores, cycle, mp.l1dMshrs + mp.l1iMshrs + 1);
+    const Cycle lookahead = llcLookahead();
+    for (int c = 0; c < nCores; ++c) {
+        Core &core = cores[static_cast<std::size_t>(c)];
+        // Readers that need an outcome the cycle it is made await
+        // every request at post.
+        LlcPort::Trigger sync = LlcPort::numTriggers;
+        if (lookahead == 0)
+            sync = LlcPort::TrigZeroLookahead;
+        else if (telem)
+            sync = LlcPort::TrigTelemetry;
+        else if (core.pol->eventMask() & EvDataAccess)
+            sync = LlcPort::TrigDataAccess;
+        Pipeline *const pipe = core.pipe.get();
+        core.mem->attachLlc(
+            wavefront.get(), c, lookahead, sync,
+            [pipe](const MemorySystem::PendingAccess &p, Cycle ready,
+                   ServiceLevel level) {
+                pipe->settlePending(p, ready, level);
+            });
+    }
+    if (w <= 1)
         return;
 
     nTickWorkers = w;
-    wavefront = std::make_unique<TickWavefront>(nCores, cycle);
-    llc->setAccessGate(wavefront.get());
     if (hprof) {
-        // Scope registration is single-threaded: both the wavefront
-        // gate scopes and the per-worker idle scopes must exist
-        // before the first worker spawns.
+        // Scope registration is single-threaded: the wavefront's
+        // blocked-wait scopes (wave.c<k>.gate) and the per-worker
+        // idle scopes must exist before the first worker spawns.
         wavefront->setHostProfiler(hprof);
         hsMainAwait = hprof->scope("wave.main.await");
         hsWorkerIdle.clear();
@@ -483,7 +559,7 @@ ChipSimulator::startTickWorkers()
 void
 ChipSimulator::stopTickWorkers()
 {
-    if (!wavefront)
+    if (workers.empty())
         return;
     wavefront->requestStop();
     for (std::thread &th : workers)
@@ -506,7 +582,20 @@ ChipSimulator::stopTickWorkers()
             cfgRec += std::string(b ? ", " : "") + "\"" +
                       boundNames[b] + "\": " + fmtU64(quantumEnds[b]);
         }
-        hprof->record(cfgRec + "}}");
+        cfgRec += "}, \"lookahead\": " + fmtU64(llcLookahead()) +
+                  ", \"llcPosted\": " + fmtU64(wavefront->posted()) +
+                  ", \"resolvedBy\": {";
+        std::uint64_t blocked = 0;
+        for (int c = 0; c < nCores; ++c)
+            blocked += wavefront->waveStats(c).gateWaits;
+        for (int k = 0; k < LlcPort::numTriggers; ++k) {
+            const auto why = static_cast<LlcPort::Trigger>(k);
+            cfgRec += std::string(k ? ", " : "") + "\"" +
+                      LlcPort::triggerName(why) +
+                      "\": " + fmtU64(wavefront->resolvedBy(why));
+        }
+        hprof->record(cfgRec + "}, \"blockedWaits\": " +
+                      fmtU64(blocked) + "}");
         for (int c = 0; c < nCores; ++c) {
             const TickWavefront::WaveStats &ws =
                 wavefront->waveStats(c);
@@ -530,9 +619,6 @@ ChipSimulator::stopTickWorkers()
             hprof->record(std::move(rec));
         }
     }
-    if (llc)
-        llc->setAccessGate(nullptr);
-    wavefront.reset();
     nTickWorkers = 1;
 }
 
@@ -945,7 +1031,7 @@ ChipSimulator::run(std::uint64_t commitLimit, Cycle maxCycles,
     // Sized here, not in buildChip: construction allocates nothing
     // but the chip's parts (see buildChip for why that matters).
     samples.resize(static_cast<std::size_t>(nCores) * maxQuantum);
-    startTickWorkers();
+    startWavefront();
 
     // Cycles the first-to-the-limit check may skip (see reached()).
     Cycle quiet = 0;

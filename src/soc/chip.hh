@@ -8,8 +8,9 @@
  * reallocates them via a drain-squash-migrate handoff.
  *
  * Determinism: cores tick in core-id order inside every chip cycle
- * (a parallel tick reproduces that order at the LLC, see
- * soc/tick_wavefront.hh), migrations execute between cycles in
+ * (the LLC resolves their requests in that order for every worker
+ * count, see soc/tick_wavefront.hh), migrations execute between
+ * cycles in
  * thread-id order, and every allocator breaks ties
  * deterministically, so a chip run is bit-reproducible (and
  * independent of any host parallelism in the sweep runner, which
@@ -97,6 +98,10 @@ class ChipSimulator
                   Cycle maxCycles = 50'000'000,
                   std::uint64_t warmupCommits = 0);
 
+    /** The shared LLC's parameters under @p cfg (cfg.soc.llc with
+     *  the hierarchy's memory latency and any llcWays override). */
+    static SharedCacheParams llcParams(const SimConfig &cfg);
+
     /** Audit every core's pipeline plus the chip-level placement
      *  bookkeeping and LLC arbitration; panics on violation. */
     void auditInvariants() const;
@@ -109,10 +114,11 @@ class ChipSimulator
      * every interval and records allocator epochs, migrations and
      * phase transitions as events. All emissions happen on the main
      * thread between cycles, or inside the LLC access stream whose
-     * total order the wavefront gate reproduces, so the files are
+     * total order the wavefront reproduces, so the files are
      * byte-identical for every --chip-jobs value. The hub samples
      * and latches phases every cycle, so while one is attached every
-     * quantum is one cycle long. A 1-core chip
+     * quantum is one cycle long and every LLC request is resolved
+     * when it is posted. A 1-core chip
      * registers its pipeline's channels unprefixed and only the
      * "core0" event track (no "alloc" track, no chip-level IPC).
      * Call before run().
@@ -124,10 +130,10 @@ class ChipSimulator
      * detaches). Registers per-core tick scopes ("c<N>.tick"),
      * every pipeline's stage scopes ("c<N>.stage.*"), the LLC
      * access/epoch scopes and the chip epoch/migration scopes; a
-     * parallel run adds the wavefront gate scopes, per-worker idle
-     * scopes and the main thread's await scope, and stopTickWorkers
-     * harvests the per-core gate-wait records and the quantum
-     * statistics. Core ticks are timed on the chip cycles that are
+     * parallel run adds the wavefront's blocked-wait scopes
+     * (wave.c<N>.gate), per-worker idle scopes and the main thread's
+     * await scope, and stopTickWorkers harvests the per-core wait
+     * records, the quantum statistics and the LLC request counts. Core ticks are timed on the chip cycles that are
      * multiples of prof->sampleEvery() (all cores sample the same
      * cycles). Host times never touch SimResult. A 1-core
      * chip registers only its pipeline's unprefixed stage scopes
@@ -226,6 +232,7 @@ class ChipSimulator
 
     void buildChip(const SimConfig &cfg, PolicyKind policyKind,
                    std::unique_ptr<Policy> customPolicy);
+
     /** Make (core, ctx) thread's home: point the run-loop probes at
      *  it and snapshot its counters as the attach baseline. */
     void settleHome(int thread, int core, int ctx);
@@ -248,10 +255,13 @@ class ChipSimulator
      * With cfg.soc.chipJobs > 1, worker w ticks cores {w, w + W, ...}
      * cycle by cycle, ascending within a cycle; the main thread is
      * worker 0 and runs everything between quanta (migrations,
-     * epochs, sampling) alone. Determinism comes from the
-     * TickWavefront gate in the SharedCache — see
-     * soc/tick_wavefront.hh for the ordering argument. One worker
-     * is the same loop without the wavefront.
+     * epochs, sampling) alone. Every multi-core run posts its LLC
+     * requests to the TickWavefront, which resolves them in the
+     * serial order — see soc/tick_wavefront.hh for the ordering and
+     * deadline argument; with one worker each resolves at post. At
+     * a quantum end every request is resolved and settled
+     * (settleQuantum), so no outcome is pending across main-thread
+     * work.
      */
     /** @{ */
     /** Why a quantum ended where it did: its smallest bound. */
@@ -284,6 +294,15 @@ class ChipSimulator
     void tickQuantum(Cycle q);
     /** Tick worker @p w's cores through cycles [from, to]. */
     void tickCores(int w, Cycle from, Cycle to);
+    /** Count core @p c's loads that settled memory-level after their
+     *  cycles were sampled into those cycles' samples (the quantum
+     *  started at @p from). */
+    void addLateMemLoads(int c, Cycle from);
+    /** Quantum end: resolve and settle every LLC request. */
+    void settleQuantum(Cycle from);
+    /** l1 + l2 + LLC latency: how long after a private-L2 miss its
+     *  LLC outcome is first needed. Multi-core only. */
+    Cycle llcLookahead() const;
     /** Main-thread work after a cycle: migration drain, epoch,
      *  audit (multi-core only). */
     void chipWork();
@@ -293,7 +312,9 @@ class ChipSimulator
     /** Rebuild every core's threadCtxMask from the placement. */
     void indexThreadsByCore();
 
-    void startTickWorkers();
+    /** Build the wavefront, wire every core's LLC port to it and,
+     *  with cfg.soc.chipJobs > 1, start the tick workers. */
+    void startWavefront();
     void stopTickWorkers();
     void workerLoop(int w, Cycle last);
     /** @} */
@@ -362,7 +383,8 @@ class ChipSimulator
     Cycle cycle = 0;
     Cycle auditPeriod = 0;
 
-    /** @name Parallel-tick state (empty/null in serial runs) */
+    /** @name Wavefront state (null with one core; no workers in
+     *  serial runs) */
     /** @{ */
     int nTickWorkers = 1;
     std::unique_ptr<TickWavefront> wavefront;

@@ -7,13 +7,22 @@
 
 namespace smt {
 
-TickWavefront::TickWavefront(int numCores, Cycle startCycle)
-    : nCores(numCores), cs(static_cast<std::size_t>(numCores)),
-      go(startCycle)
+TickWavefront::TickWavefront(SharedCache &llc_, int numCores,
+                             Cycle startCycle, int maxOutstanding)
+    : llc(llc_), nCores(numCores),
+      cs(static_cast<std::size_t>(numCores)), go(startCycle)
 {
     SMT_ASSERT(numCores >= 1, "wavefront over %d cores", numCores);
+    SMT_ASSERT(maxOutstanding >= 1, "bad request bound %d",
+               maxOutstanding);
     for (CoreSync &c : cs)
         c.done.store(startCycle, std::memory_order_relaxed);
+    std::size_t slots = 1;
+    while (slots < static_cast<std::size_t>(maxOutstanding))
+        slots *= 2;
+    ringMask = slots - 1;
+    ring.assign(static_cast<std::size_t>(numCores),
+                std::vector<Request>(slots));
 }
 
 void
@@ -55,9 +64,10 @@ TickWavefront::awaitQuantum(Cycle last) const
 void
 TickWavefront::coreDone(int core, Cycle t)
 {
-    // The release pairs with the acquires in enter() and awaitAll():
-    // every effect of this core's tick — pipeline state and its LLC
-    // accesses — is visible to whoever observes the completion.
+    // The release pairs with the acquires in the order test and
+    // awaitAll(): every effect of this core's tick — pipeline state
+    // and the requests it posted — is visible to whoever observes
+    // the completion.
     cs[static_cast<std::size_t>(core)].done.store(
         t, std::memory_order_release);
 }
@@ -95,64 +105,186 @@ TickWavefront::setHostProfiler(HostProfiler *prof)
     }
 }
 
-void
-TickWavefront::enter(int core)
+std::uint64_t
+TickWavefront::post(int core, Cycle t, Addr addr, Cycle now)
 {
-    // The core is ticking the cycle after its last completed one;
-    // only its own worker writes that field, so a relaxed load
-    // suffices.
-    CoreSync &me = cs[static_cast<std::size_t>(core)];
-    const Cycle t = me.done.load(std::memory_order_relaxed) + 1;
-    if (me.granted == t)
-        return;
+    // Only the thread ticking the core posts, so it owns nPosted.
+    CoreSync &s = cs[static_cast<std::size_t>(core)];
+    const std::uint64_t n = s.nPosted.load(std::memory_order_relaxed);
+    SMT_ASSERT(n - s.resolved.load(std::memory_order_acquire) <=
+                   ringMask,
+               "core %d has more than %llu LLC requests in flight",
+               core, static_cast<unsigned long long>(ringMask + 1));
+    Request &r = ring[static_cast<std::size_t>(core)]
+                     [static_cast<std::size_t>(n & ringMask)];
+    r.t = t;
+    r.addr = addr;
+    r.now = now;
+    // The release publishes the slot to the resolver.
+    s.nPosted.store(n + 1, std::memory_order_release);
+    tryResolve(TrigPost);
+    return n;
+}
+
+bool
+TickWavefront::unresolved() const
+{
+    for (const CoreSync &s : cs) {
+        if (s.resolved.load(std::memory_order_relaxed) !=
+            s.nPosted.load(std::memory_order_relaxed))
+            return true;
+    }
+    return false;
+}
+
+int
+TickWavefront::blockerOf(int core, Cycle t) const
+{
     // Every (cycle, core) pair before (t, core) in the serial order:
     // lower ids in this cycle, higher ids in the previous one.
-    const auto due = [core, t](int k) { return k < core ? t : t - 1; };
-    if (!hprof) {
-        for (int k = 0; k < nCores; ++k) {
-            unsigned spins = 0;
-            while (k != core && !finished(k, due(k)))
-                backoff(spins);
+    for (int k = 0; k < nCores; ++k) {
+        if (k != core && !finished(k, k < core ? t : t - 1))
+            return k;
+    }
+    return -1;
+}
+
+int
+TickWavefront::nextCore() const
+{
+    int best = -1;
+    Cycle bestT = 0;
+    for (int k = 0; k < nCores; ++k) {
+        const CoreSync &s = cs[static_cast<std::size_t>(k)];
+        const std::uint64_t n =
+            s.resolved.load(std::memory_order_relaxed);
+        if (n == s.nPosted.load(std::memory_order_acquire))
+            continue;
+        const Cycle t = ring[static_cast<std::size_t>(k)]
+                            [static_cast<std::size_t>(n & ringMask)]
+                                .t;
+        // Strictly earlier cycle wins; a tie keeps the lower id.
+        if (best < 0 || t < bestT) {
+            best = k;
+            bestT = t;
         }
-        me.granted = t;
+    }
+    return best;
+}
+
+void
+TickWavefront::resolveLocked(Trigger why)
+{
+    for (;;) {
+        int c = nextCore();
+        if (c < 0)
+            return;
+        CoreSync *s = &cs[static_cast<std::size_t>(c)];
+        std::uint64_t n = s->resolved.load(std::memory_order_relaxed);
+        const Cycle t = ring[static_cast<std::size_t>(c)]
+                            [static_cast<std::size_t>(n & ringMask)]
+                                .t;
+        if (blockerOf(c, t) >= 0)
+            return;
+        // Every pair before (t, c) is complete, and the acquires in
+        // blockerOf() made all of their posts visible: look again,
+        // one of them may precede (t, c). Whatever comes first now
+        // is resolvable too (its preceding pairs are a subset).
+        c = nextCore();
+        s = &cs[static_cast<std::size_t>(c)];
+        n = s->resolved.load(std::memory_order_relaxed);
+        Request &r = ring[static_cast<std::size_t>(c)]
+                         [static_cast<std::size_t>(n & ringMask)];
+        r.res = llc.access(c, r.addr, r.now);
+        s->resolved.store(n + 1, std::memory_order_release);
+        ++nResolvedBy[why];
+    }
+}
+
+void
+TickWavefront::tryResolve(Trigger why)
+{
+    // Test before the exchange so contending threads only read the
+    // lock's line while someone else holds it.
+    if (resolving.load(std::memory_order_relaxed) ||
+        resolving.exchange(true, std::memory_order_acquire))
+        return;
+    resolveLocked(why);
+    resolving.store(false, std::memory_order_release);
+}
+
+void
+TickWavefront::resolveAll()
+{
+    // No worker resolves after its last pair of a quantum, so the
+    // lock is free; the acquire pairs with the last release.
+    SMT_ASSERT(!resolving.exchange(true, std::memory_order_acquire),
+               "LLC resolver busy at a quantum end");
+    resolveLocked(TrigQuantumEnd);
+    resolving.store(false, std::memory_order_release);
+    SMT_ASSERT(!unresolved(), "unresolvable LLC request at a quantum "
+               "end");
+}
+
+void
+TickWavefront::await(int core, std::uint64_t req, Trigger why)
+{
+    const auto ready = [this, core, req] {
+        return resolved(core) > req;
+    };
+    if (ready())
+        return;
+    tryResolve(why);
+    if (ready())
+        return;
+
+    // Blocked: once every pair before the request's own has
+    // completed, it and every request before it are resolvable, so
+    // resolve them (unless another thread already is); until then
+    // only read the done counters, leaving the resolver's lock and
+    // the LLC's lines to the threads that can use them.
+    const Cycle t = ring[static_cast<std::size_t>(core)]
+                        [static_cast<std::size_t>(req & ringMask)]
+                            .t;
+    const auto step = [&](unsigned &spins) {
+        backoff(spins);
+        if (blockerOf(core, t) < 0)
+            tryResolve(why);
+    };
+    if (!hprof) {
+        unsigned spins = 0;
+        while (!ready())
+            step(spins);
         return;
     }
 
     // Profiled wait: accumulate into locals while blocked and store
-    // once at the end, so this core's cache line (which other cores
-    // spin on) is not bounced mid-wait.
-    std::uint64_t t0 = 0;
-    std::uint64_t spinAcc = 0, yieldAcc = 0;
-    bool blocked = false, escalated = false;
-    int firstAwaited = -1;
-    for (int k = 0; k < nCores; ++k) {
-        unsigned spins = 0;
-        while (k != core && !finished(k, due(k))) {
-            if (!blocked) {
-                blocked = true;
-                firstAwaited = k;
-                t0 = hprof->nowNs();
-            }
-            backoff(spins);
-        }
-        spinAcc += spins;
-        if (spins >= 64) {
-            yieldAcc += spins - 63;
-            escalated = true;
-        }
-    }
-    me.granted = t;
-    if (!blocked)
-        return;
+    // once at the end, so the stats line is not bounced mid-wait.
+    const std::uint64_t t0 = hprof->nowNs();
+    const int firstAwaited = blockerOf(core, t);
+    unsigned spins = 0;
+    while (!ready())
+        step(spins);
     const std::uint64_t t1 = hprof->nowNs();
+    const std::uint64_t yields = spins >= 64 ? spins - 63 : 0;
     WaveStats &ws = stats[static_cast<std::size_t>(core)];
     ws.gateWaits += 1;
-    ws.spinIters += spinAcc - yieldAcc;
-    ws.yieldIters += yieldAcc;
-    ws.yieldTransitions += escalated ? 1 : 0;
+    ws.spinIters += spins - yields;
+    ws.yieldIters += yields;
+    ws.yieldTransitions += yields ? 1 : 0;
     ws.waitNs += t1 - t0;
-    ws.awaited[static_cast<std::size_t>(firstAwaited)] += 1;
+    if (firstAwaited >= 0)
+        ws.awaited[static_cast<std::size_t>(firstAwaited)] += 1;
     hprof->add(gateScope[static_cast<std::size_t>(core)], t0, t1);
+}
+
+std::uint64_t
+TickWavefront::posted() const
+{
+    std::uint64_t n = 0;
+    for (const CoreSync &s : cs)
+        n += s.nPosted.load(std::memory_order_relaxed);
+    return n;
 }
 
 } // namespace smt

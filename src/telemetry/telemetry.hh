@@ -17,9 +17,9 @@
  *    one-cycle quanta, so every `--chip-jobs` worker has finished
  *    the cycle), and events are only emitted from (a) the main
  *    thread between cycles or (b) inside the shared-LLC access path,
- *    whose
- *    total order across cores is reproduced exactly by the
- *    TickWavefront gate for every worker count. Rendering uses the
+ *    whose total order across cores the TickWavefront reproduces
+ *    exactly for every worker count (with a hub attached every LLC
+ *    request is resolved when it is posted). Rendering uses the
  *    fixed-format helpers of common/json.hh. The same run therefore
  *    emits the same bytes under any `--jobs` / `--chip-jobs` value.
  *  - **Bounded.** Sample and event buffers have hard caps; overflow

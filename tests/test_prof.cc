@@ -315,6 +315,19 @@ TEST(ProfSim, ChipProfilerPerturbsNothingAndRecordsWavefront)
                 ended += kv.second.asU64();
             EXPECT_EQ(ended, quanta);
             EXPECT_GT(ends->find("epoch")->asU64(), 0u);
+            // The split-transaction LLC: every posted request is
+            // resolved once, under exactly one trigger.
+            EXPECT_EQ(v.find("lookahead")->asU64(), 51u);
+            const std::uint64_t posted = v.find("llcPosted")->asU64();
+            EXPECT_GT(posted, 0u);
+            const JsonValue *by = v.find("resolvedBy");
+            ASSERT_NE(by, nullptr);
+            EXPECT_EQ(by->obj.size(), 7u);
+            std::uint64_t resolved = 0;
+            for (const auto &kv : by->obj)
+                resolved += kv.second.asU64();
+            EXPECT_EQ(resolved, posted);
+            EXPECT_NE(v.find("blockedWaits"), nullptr);
         } else if (type->str == "wavefront") {
             ++wavefront;
             EXPECT_NE(v.find("gateWaits"), nullptr);
@@ -348,7 +361,10 @@ TEST(ProfReport, AggregatesSidecars)
     jobProf.record("{\"type\": \"wave-config\", \"workers\": 2, "
                    "\"cores\": 2, \"quanta\": 40, "
                    "\"quantumCycles\": 1000, \"quantumEnds\": "
-                   "{\"commit\": 1, \"epoch\": 9, \"drain\": 30}}");
+                   "{\"commit\": 1, \"epoch\": 9, \"drain\": 30}, "
+                   "\"lookahead\": 51, \"llcPosted\": 12, "
+                   "\"resolvedBy\": {\"post\": 5, \"deadline\": 7}, "
+                   "\"blockedWaits\": 3}");
     jobProf.record(
         "{\"type\": \"wavefront\", \"core\": 0, \"worker\": 0, "
         "\"gateWaits\": 7, \"spinIters\": 100, \"yieldIters\": 3, "
@@ -381,6 +397,11 @@ TEST(ProfReport, AggregatesSidecars)
     EXPECT_NE(out.find("wavefront gate waits"), std::string::npos);
     EXPECT_NE(out.find("quanta: 40, mean 25.0 cycles; ended by "
                        "commit=1 epoch=9 drain=30"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("llc requests: 12 posted, lookahead 51 cycles, "
+                       "3 blocked waits; resolved by post=5 "
+                       "deadline=7"),
               std::string::npos)
         << out;
     EXPECT_NE(out.find("== jobs (2"), std::string::npos);

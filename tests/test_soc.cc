@@ -26,12 +26,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "mem/shared_cache.hh"
+#include "prof/host_profiler.hh"
 #include "runner/result_sink.hh"
 #include "runner/runner.hh"
 #include "sim/simulator.hh"
@@ -184,6 +187,17 @@ TEST(SharedCache, RejectsZeroMshrQuota)
     const std::string err = validateSharedCacheParams(p, 2);
     EXPECT_NE(err.find("at least 1"), std::string::npos) << err;
     EXPECT_NE(err.find("deadlock"), std::string::npos) << err;
+}
+
+TEST(SharedCache, RejectsMoreCoresThanTheDomainHolds)
+{
+    // The LLC's arbitration domain has one claimant per core; the
+    // check must run before the domain is built (which would abort).
+    const SharedCacheParams p;
+    EXPECT_TRUE(validateSharedCacheParams(p,
+        ResourceDomain::maxDomainClaimants).empty());
+    EXPECT_NE(validateSharedCacheParams(p, 33).find("at most 32 cores"),
+              std::string::npos);
 }
 
 TEST(SharedCache, RejectsQuotaExceedingThePool)
@@ -968,36 +982,220 @@ TEST(ParallelChip, QuantaMatchOneCycleSteps)
     }
 }
 
-TEST(TickWavefrontGate, WaitsForHigherCoreToFinishThePreviousCycle)
-{
-    // Core 0 has finished cycle 1 and enters the LLC in cycle 2;
-    // core 1 is still in cycle 1, which precedes (2, 0) in the
-    // serial order, so core 0 must wait for it.
-    TickWavefront wf(2);
-    wf.enter(0); // cycle 1: nothing precedes (1, 0)
-    wf.coreDone(0, 1);
-    std::atomic<bool> entered{false};
-    std::thread core0([&] {
-        wf.enter(0);
-        entered.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(entered.load());
-    wf.coreDone(1, 1);
-    core0.join();
-    EXPECT_TRUE(entered.load());
+// ---------------------------------------------------------------
+// split-transaction LLC: every way an outcome gets resolved
+// ---------------------------------------------------------------
 
-    // Core 1 in cycle 2 waits only for core 0's cycle 2.
-    std::atomic<bool> entered1{false};
-    std::thread core1([&] {
-        wf.enter(1);
-        entered1.store(true);
-    });
+/** A profiled run's wave-config resolvedBy counts (trigger name ->
+ *  requests), plus "posted". Empty for a serial run. */
+std::map<std::string, std::uint64_t>
+resolutionCounts(HostProfiler &prof)
+{
+    std::map<std::string, std::uint64_t> out;
+    const std::string text = prof.renderNdjson("job0");
+    std::size_t start = 0;
+    while (start < text.size()) {
+        std::size_t end = text.find('\n', start);
+        if (end == std::string::npos)
+            end = text.size();
+        JsonValue v;
+        if (parseJson(text.substr(start, end - start), v)) {
+            const JsonValue *type = v.find("type");
+            if (type && type->str == "wave-config") {
+                out["posted"] = v.find("llcPosted")->asU64();
+                for (const auto &kv : v.find("resolvedBy")->obj)
+                    out[kv.first] = kv.second.asU64();
+            }
+        }
+        start = end + 1;
+    }
+    return out;
+}
+
+/**
+ * Run @p cfg serially and at --chip-jobs 2, 3 and 4 (the parallel
+ * runs profiled, which never changes results) and require identical
+ * results. With @p rotate the AlternateAllocator forces migrations.
+ * Returns the 4-worker run's resolution counts.
+ */
+std::map<std::string, std::uint64_t>
+expectSplitMatchesSerial(SimConfig cfg,
+                         const std::vector<std::string> &benches,
+                         PolicyKind kind, std::uint64_t commits,
+                         const char *what, bool rotate = false)
+{
+    const auto build = [&] {
+        return rotate
+            ? std::make_unique<ChipSimulator>(
+                  cfg, benches, kind,
+                  std::make_unique<AlternateAllocator>())
+            : std::make_unique<ChipSimulator>(cfg, benches, kind);
+    };
+    cfg.soc.chipJobs = 1;
+    const SimResult serial = build()->run(commits, 1'000'000, 300);
+    if (rotate) {
+        EXPECT_GT(serial.migrations, 0u) << what;
+    }
+    std::map<std::string, std::uint64_t> counts;
+    for (const int jobs : {2, 3, 4}) {
+        cfg.soc.chipJobs = jobs;
+        HostProfiler prof(64);
+        const std::unique_ptr<ChipSimulator> chip = build();
+        chip->setHostProfiler(&prof);
+        const std::string label =
+            std::string(what) + ", jobs=" + std::to_string(jobs);
+        expectSameChipResult(serial, chip->run(commits, 1'000'000, 300),
+                             label.c_str());
+        counts = resolutionCounts(prof);
+    }
+    EXPECT_GT(counts["posted"], 0u) << what;
+    return counts;
+}
+
+TEST(SplitLlc, DcraResolvesAtDeadlines)
+{
+    // The default: nothing reads an outcome before it is due, so
+    // requests resolve at post or when their owner reaches them.
+    auto n = expectSplitMatchesSerial(
+        memChipConfig(4), memChipBenches(8), PolicyKind::Dcra, 2000,
+        "DCRA");
+    EXPECT_GT(n["deadline"], 0u);
+    EXPECT_EQ(n["demand-data-access"] + n["demand-l2-loads"], 0u);
+}
+
+TEST(SplitLlc, FlushPoliciesResolveOnDemand)
+{
+    // FLUSH and FLUSH++ read every load's outcome at issue
+    // (onDataAccess) and count memory-level loads (pendingL2DLoads).
+    for (const PolicyKind k : {PolicyKind::Flush, PolicyKind::FlushPp}) {
+        auto n = expectSplitMatchesSerial(
+            memChipConfig(4), memChipBenches(8), k, 1500,
+            policyKindName(k));
+        EXPECT_GT(n["demand-data-access"], 0u) << policyKindName(k);
+    }
+}
+
+TEST(SplitLlc, StallAndDcraOnL2OnlyResolveWhenCounting)
+{
+    // STALL and DCRA's L2-only slow test count memory-level loads:
+    // the count settles the pending ones first.
+    SimConfig cfg = memChipConfig(4);
+    cfg.policy.dcraSlowOnL2Only = true;
+    for (const PolicyKind k : {PolicyKind::Dcra, PolicyKind::Stall}) {
+        auto n = expectSplitMatchesSerial(
+            cfg, memChipBenches(8), k, 1500, policyKindName(k));
+        EXPECT_GT(n["demand-l2-loads"], 0u) << policyKindName(k);
+    }
+}
+
+TEST(SplitLlc, ShortAndZeroLookahead)
+{
+    // No L2 latency: a 31-cycle lookahead, still split.
+    SimConfig shortCfg = memChipConfig(4);
+    shortCfg.mem.l2Latency = 0;
+    EXPECT_GT(expectSplitMatchesSerial(shortCfg, memChipBenches(8),
+                                       PolicyKind::Dcra, 1500,
+                                       "l2 latency 0")["deadline"],
+              0u);
+    // No latency at all below the LLC's bus: every outcome is due
+    // the cycle it is made, so every request is awaited at post.
+    SimConfig zero = memChipConfig(4);
+    zero.mem.l1Latency = 0;
+    zero.mem.l2Latency = 0;
+    zero.soc.llc.latency = 0;
+    auto n = expectSplitMatchesSerial(
+        zero, memChipBenches(8), PolicyKind::Dcra, 1500, "lookahead 0");
+    EXPECT_GT(n["demand-zero-lookahead"], 0u);
+    EXPECT_EQ(n["deadline"], 0u);
+}
+
+TEST(SplitLlc, MigrationsWithRequestsInFlight)
+{
+    // Frequent epochs: drains squash loads whose requests are still
+    // pending (they stay in the access stream), and threads move
+    // between cores between quanta.
+    SimConfig cfg = memChipConfig(4);
+    cfg.soc.epochCycles = 2000;
+    cfg.soc.drainTimeout = 300;
+    expectSplitMatchesSerial(cfg, memChipBenches(8), PolicyKind::Dcra,
+                             10000, "epoch 2000", true);
+}
+
+TEST(SplitLlc, StaticAndWayUtilArbiters)
+{
+    for (const char *arb : {"static", "way-util"}) {
+        SimConfig cfg = memChipConfig(4);
+        cfg.soc.llcArbiter = arb;
+        expectSplitMatchesSerial(cfg, memChipBenches(8),
+                                 PolicyKind::Dcra, 1500, arb);
+    }
+}
+
+TEST(TickWavefrontResolver, ResolvesInSerialOrderWhateverThePostOrder)
+{
+    // Three cores post out of the serial (cycle, core) order; the
+    // resolver must hand the LLC exactly the serial sequence (the
+    // outcomes equal direct SharedCache::access calls in that
+    // order) and resolve nothing while an earlier pair is
+    // incomplete.
+    SharedCacheParams p;
+    p.busLatency = 4;
+    SharedCache split(p, 3);
+    SharedCache serial(p, 3);
+    const Addr a = 0x10000, b = 0x20000, c = 0x10008; // c: a's line
+    TickWavefront wf(split, 3, 0, 4);
+    const auto now = [](Cycle t) { return t + 21; };
+
+    // (1, 2) first: cores 0 and 1 have not finished cycle 1.
+    const std::uint64_t r2 = wf.post(2, 1, a, now(1));
+    EXPECT_EQ(wf.resolved(2), 0u);
+    // (2, 0): cores 1 and 2 have not finished cycle 1.
+    wf.coreDone(0, 1);
+    const std::uint64_t r0 = wf.post(0, 2, b, now(2));
+    EXPECT_EQ(wf.resolved(0), 0u);
+    // (1, 1) precedes both and nothing precedes it but (1, 0):
+    // resolvable at post, and only it.
+    const std::uint64_t r1a = wf.post(1, 1, c, now(1));
+    const std::uint64_t r1b = wf.post(1, 1, b, now(1));
+    EXPECT_EQ(wf.resolved(1), 2u);
+    EXPECT_EQ(wf.resolved(2), 0u);
+    EXPECT_EQ(wf.resolved(0), 0u);
+
+    // Core 1 finishes cycle 1: (1, 2) becomes resolvable, and its
+    // owner's wait resolves it without blocking; (2, 0) still
+    // waits for core 2's cycle 1.
+    wf.coreDone(1, 1);
+    wf.await(2, r2, LlcPort::TrigDeadline);
+    EXPECT_EQ(wf.resolved(2), 1u);
+    EXPECT_EQ(wf.resolved(0), 0u);
+
+    // A blocked waiter resolves (2, 0) itself once core 2 is done.
+    std::thread waiter(
+        [&] { wf.await(0, r0, LlcPort::TrigL2Loads); });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(entered1.load());
-    wf.coreDone(0, 2);
-    core1.join();
-    EXPECT_TRUE(entered1.load());
+    EXPECT_EQ(wf.resolved(0), 0u);
+    wf.coreDone(2, 1);
+    waiter.join();
+    EXPECT_EQ(wf.resolved(0), 1u);
+    EXPECT_EQ(wf.resolvedBy(LlcPort::TrigPost), 2u);
+    EXPECT_EQ(wf.resolvedBy(LlcPort::TrigDeadline), 1u);
+    EXPECT_EQ(wf.resolvedBy(LlcPort::TrigL2Loads), 1u);
+    EXPECT_EQ(wf.posted(), 4u);
+
+    // The serial chip's sequence: (1,1) twice, (1,2), (2,0).
+    const auto same = [](const LlcResult &x, const LlcResult &y) {
+        return x.hit == y.hit && x.ready == y.ready;
+    };
+    EXPECT_TRUE(same(wf.result(1, r1a), serial.access(1, c, now(1))));
+    EXPECT_TRUE(same(wf.result(1, r1b), serial.access(1, b, now(1))));
+    EXPECT_TRUE(same(wf.result(2, r2), serial.access(2, a, now(1))));
+    EXPECT_TRUE(same(wf.result(0, r0), serial.access(0, b, now(2))));
+    EXPECT_EQ(split.arbWaitCycles(), serial.arbWaitCycles());
+    EXPECT_EQ(split.totalMisses(), serial.totalMisses());
+    // a and c share a line, so the second access to it hits; b's
+    // second access hits too.
+    EXPECT_TRUE(wf.result(2, r2).hit);
+    EXPECT_TRUE(wf.result(0, r0).hit);
 }
 
 // ---------------------------------------------------------------

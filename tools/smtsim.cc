@@ -49,6 +49,7 @@
 #include <sys/stat.h>
 
 #include "alloc/chip_arbiters.hh"
+#include "alloc/resource_domain.hh"
 #include "common/bits.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -328,7 +329,8 @@ const Option kOptions[] = {
      "all data accesses hit L1",
      SMT_SET(c.spec.base.mem.perfectDcache = true)},
     // The chip.
-    {"--cores", "N", Both, Kind::Num, true, 1, 64,
+    {"--cores", "N", Both, Kind::Num, true, 1,
+     ResourceDomain::maxDomainClaimants,
      "SMT cores on the chip (default 1 = the paper's machine)",
      SMT_SET(addPoint(c, AxCores, "cores", v.text, &ConfigOverride::numCores,
                       static_cast<int>(v.num)))},
@@ -894,7 +896,8 @@ emitOutput(const std::string &text, const std::string &path)
 /**
  * Check every job of the grid the way the simulator would, before
  * the first one starts: workloads against their chip's thread
- * capacity and the core configuration against its context count.
+ * capacity, a multi-core chip's LLC against its core count, and the
+ * core configuration against its context count.
  * A bad point must fail the whole command with exit 1, not abort
  * the process halfway through a sweep.
  */
@@ -911,6 +914,17 @@ validateJobs(const SweepSpec &spec)
         }
         if (!validateBenches(benches, shape))
             return false;
+        const std::string llcWhy = soc.numCores > 1
+            ? validateSharedCacheParams(
+                  ChipSimulator::llcParams(job.config), soc.numCores)
+            : std::string();
+        if (!llcWhy.empty()) {
+            std::fprintf(stderr, "error: %s%s%s%s\n", llcWhy.c_str(),
+                         job.configLabel.empty() ? "" : " (config '",
+                         job.configLabel.c_str(),
+                         job.configLabel.empty() ? "" : "')");
+            return false;
+        }
         SmtConfig core = job.config.core;
         core.numThreads = soc.numCores > 1
             ? soc.contextsPerCore
