@@ -15,41 +15,62 @@
 #ifndef DCRA_SMT_BENCH_BENCH_UTIL_HH
 #define DCRA_SMT_BENCH_BENCH_UTIL_HH
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstdint>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "sim/experiment.hh"
 
 namespace smtbench {
 
+/**
+ * Environment setting @p name as a plain decimal in 0..@p hi, or
+ * @p dflt when unset or empty; fatal() on anything else (a sign,
+ * junk, overflow), so a typo cannot silently run a 0-commit figure.
+ */
+inline std::uint64_t
+envDecimal(const char *name, std::uint64_t dflt, std::uint64_t hi)
+{
+    const char *s = std::getenv(name);
+    if (!s || !*s)
+        return dflt;
+    const std::string text = s;
+    errno = 0;
+    const std::uint64_t v = std::strtoull(s, nullptr, 10);
+    if (text.size() > 20 ||
+        text.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE || v > hi) {
+        smt::fatal("bad %s '%s' (want a plain decimal integer%s)", name,
+                   s,
+                   hi == ~0ull ? ""
+                               : (" <= " + std::to_string(hi)).c_str());
+    }
+    return v;
+}
+
 /** Per-run commit budget (SMT_BENCH_COMMITS). */
 inline std::uint64_t
 commitBudget()
 {
-    if (const char *s = std::getenv("SMT_BENCH_COMMITS"))
-        return std::strtoull(s, nullptr, 10);
-    return 60'000;
+    return envDecimal("SMT_BENCH_COMMITS", 60'000, ~0ull);
 }
 
 /** Warmup commits (SMT_BENCH_WARMUP). */
 inline std::uint64_t
 warmupBudget()
 {
-    if (const char *s = std::getenv("SMT_BENCH_WARMUP"))
-        return std::strtoull(s, nullptr, 10);
-    return 10'000;
+    return envDecimal("SMT_BENCH_WARMUP", 10'000, ~0ull);
 }
 
 /** Sweep-runner workers (SMT_BENCH_JOBS; 0 = all host cores). */
 inline int
 benchJobs()
 {
-    if (const char *s = std::getenv("SMT_BENCH_JOBS"))
-        return static_cast<int>(std::strtol(s, nullptr, 10));
-    return 0;
+    return static_cast<int>(envDecimal("SMT_BENCH_JOBS", 0, 1024));
 }
 
 /** Print a named section header. */

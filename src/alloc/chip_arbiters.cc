@@ -132,11 +132,9 @@ WayPartitionArbiter::WayPartitionArbiter(const LlcArbiterConfig &cfg,
                                          bool utilDriven)
     : p(cfg), util(utilDriven)
 {
-    if (p.ways < p.numCores) {
-        fatal("way partitioning needs at least one LLC way per core "
-              "(%d ways, %d cores)",
-              p.ways, p.numCores);
-    }
+    // ChipSimulator::problem() refuses such chips before building.
+    SMT_ASSERT(p.ways >= p.numCores, "%d LLC ways for %d cores",
+               p.ways, p.numCores);
     wayCount = equalDeal();
     epochAccesses.assign(static_cast<std::size_t>(p.numCores), 0);
 }
@@ -283,6 +281,12 @@ bool
 isLlcArbiterName(const std::string &name)
 {
     return arbiterRegistry().find(name) != nullptr;
+}
+
+bool
+isWayPartitioningArbiter(const std::string &name)
+{
+    return name == "way-equal" || name == "way-util";
 }
 
 } // namespace smt

@@ -222,6 +222,9 @@ std::vector<const char *> llcArbiterNames();
 /** Is @p name a registered LLC arbiter? */
 bool isLlcArbiterName(const std::string &name);
 
+/** Does arbiter @p name deal the LLC's ways out to the cores? */
+bool isWayPartitioningArbiter(const std::string &name);
+
 } // namespace smt
 
 #endif // DCRA_SMT_ALLOC_CHIP_ARBITERS_HH

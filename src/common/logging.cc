@@ -9,6 +9,20 @@ namespace smt {
 
 namespace {
 
+std::string
+vformat(const char *fmt, std::va_list args)
+{
+    std::va_list measure;
+    va_copy(measure, args);
+    const int n = std::vsnprintf(nullptr, 0, fmt, measure);
+    va_end(measure);
+    if (n <= 0)
+        return {};
+    std::vector<char> buf(static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(buf.data(), buf.size(), fmt, args);
+    return std::string(buf.data(), static_cast<std::size_t>(n));
+}
+
 void
 vreport(const char *level, const char *fmt, std::va_list args)
 {
@@ -18,24 +32,25 @@ vreport(const char *level, const char *fmt, std::va_list args)
     // mid-line. (One stdio call per line is atomic in practice —
     // POSIX requires stdio functions to be thread-safe — and keeps
     // this path lock-free.)
-    std::va_list measure;
-    va_copy(measure, args);
-    const int n = std::vsnprintf(nullptr, 0, fmt, measure);
-    va_end(measure);
-
     std::string line(level);
     line += ": ";
-    if (n > 0) {
-        std::vector<char> buf(static_cast<std::size_t>(n) + 1);
-        std::vsnprintf(buf.data(), buf.size(), fmt, args);
-        line.append(buf.data(), static_cast<std::size_t>(n));
-    }
+    line += vformat(fmt, args);
     line += '\n';
     std::fwrite(line.data(), 1, line.size(), stderr);
     std::fflush(stderr);
 }
 
 } // anonymous namespace
+
+std::string
+strFormat(const char *fmt, ...)
+{
+    std::va_list args;
+    va_start(args, fmt);
+    std::string s = vformat(fmt, args);
+    va_end(args);
+    return s;
+}
 
 void
 panic(const char *fmt, ...)

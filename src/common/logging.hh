@@ -18,6 +18,7 @@
 #define DCRA_SMT_COMMON_LOGGING_HH
 
 #include <cstdarg>
+#include <string>
 
 namespace smt {
 
@@ -42,6 +43,10 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Emit an informational status message. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/** printf into a string (the texts of problem() checks). */
+std::string strFormat(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 /**
  * Verify a simulator invariant; calls panic() with location info when

@@ -102,22 +102,22 @@ struct SmtConfig
     problem() const
     {
         if (numThreads < 1 || numThreads > maxThreads)
-            return "numThreads " + std::to_string(numThreads) +
-                " out of range";
-        if (renameRegsPerFile() <= 0)
-            return "no rename registers: " +
-                std::to_string(physRegsPerFile) + " phys regs, " +
-                std::to_string(numThreads) + " threads (need more "
-                "than " + std::to_string(numThreads * numIntArchRegs) +
-                " per file)";
+            return strFormat("numThreads %d out of range", numThreads);
+        if (renameRegsPerFile() <= 0) {
+            return strFormat("no rename registers: %d phys regs, %d "
+                             "threads (need more than %d per file)",
+                             physRegsPerFile, numThreads,
+                             numThreads * numIntArchRegs);
+        }
         if (fetchWidth < 1 || renameWidth < 1 || issueWidth < 1 ||
             commitWidth < 1)
             return "pipeline widths must be positive";
         for (int q = 0; q < numQueueClasses; ++q) {
-            if (iqSize[q] < 1)
-                return "issue queue " + std::to_string(q) + " has " +
-                    std::to_string(iqSize[q]) +
-                    " entries; needs at least 1";
+            if (iqSize[q] < 1) {
+                return strFormat("issue queue %d has %d entries; "
+                                 "needs at least 1",
+                                 q, iqSize[q]);
+            }
         }
         return "";
     }

@@ -22,56 +22,39 @@ LlcPort::triggerName(Trigger t)
 std::string
 validateSharedCacheParams(const SharedCacheParams &p, int numCores)
 {
-    char buf[256];
-    if (numCores < 1) {
-        std::snprintf(buf, sizeof(buf),
-                      "LLC needs at least one core (got %d)",
-                      numCores);
-        return buf;
-    }
+    if (numCores < 1)
+        return strFormat("LLC needs at least one core (got %d)", numCores);
     if (numCores > ResourceDomain::maxDomainClaimants) {
-        std::snprintf(buf, sizeof(buf),
-                      "LLC arbitration supports at most %d cores "
-                      "(got %d)",
-                      ResourceDomain::maxDomainClaimants, numCores);
-        return buf;
+        return strFormat("LLC arbitration supports at most %d cores "
+                         "(got %d)",
+                         ResourceDomain::maxDomainClaimants, numCores);
     }
     if (p.mshrsPerCore < 1) {
-        std::snprintf(buf, sizeof(buf),
-                      "per-core LLC MSHR quota must be at least 1 "
-                      "(got %d): a zero quota can never admit a "
-                      "miss and deadlocks the first private-L2 miss",
-                      p.mshrsPerCore);
-        return buf;
+        return strFormat("per-core LLC MSHR quota must be at least 1 "
+                         "(got %d): a zero quota can never admit a "
+                         "miss and deadlocks the first private-L2 miss",
+                         p.mshrsPerCore);
     }
     if (p.mshrsTotal < 1) {
-        std::snprintf(buf, sizeof(buf),
-                      "LLC MSHR pool must be at least 1 (got %d)",
-                      p.mshrsTotal);
-        return buf;
+        return strFormat("LLC MSHR pool must be at least 1 (got %d)",
+                         p.mshrsTotal);
     }
     if (p.mshrsPerCore > p.mshrsTotal) {
-        std::snprintf(buf, sizeof(buf),
-                      "per-core LLC MSHR quota %d exceeds the "
-                      "shared pool of %d: a single core could "
-                      "over-admit misses the pool cannot hold",
-                      p.mshrsPerCore, p.mshrsTotal);
-        return buf;
+        return strFormat("per-core LLC MSHR quota %d exceeds the "
+                         "shared pool of %d: a single core could "
+                         "over-admit misses the pool cannot hold",
+                         p.mshrsPerCore, p.mshrsTotal);
     }
     if (p.busLatency < 1) {
-        std::snprintf(buf, sizeof(buf),
-                      "LLC bus latency must be at least 1 cycle "
-                      "(got %llu)",
-                      static_cast<unsigned long long>(p.busLatency));
-        return buf;
+        return strFormat("LLC bus latency must be at least 1 cycle "
+                         "(got %llu)",
+                         static_cast<unsigned long long>(p.busLatency));
     }
     if (p.busWindow < p.busLatency) {
-        std::snprintf(buf, sizeof(buf),
-                      "LLC bus window (%llu cycles) is shorter than "
-                      "one bus transaction (%llu cycles)",
-                      static_cast<unsigned long long>(p.busWindow),
-                      static_cast<unsigned long long>(p.busLatency));
-        return buf;
+        return strFormat("LLC bus window (%llu cycles) is shorter than "
+                         "one bus transaction (%llu cycles)",
+                         static_cast<unsigned long long>(p.busWindow),
+                         static_cast<unsigned long long>(p.busLatency));
     }
     return {};
 }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/bits.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -84,10 +85,10 @@ ChipSimulator::ChipSimulator(
       benchNames(benches), nThreads(static_cast<int>(benches.size())),
       nCores(cfg_.soc.numCores), alloc(std::move(allocator))
 {
-    if (nCores < 1)
-        fatal("chip needs at least one core (got %d)", nCores);
+    const std::string why = problem(cfg_, benches);
+    if (!why.empty())
+        fatal("%s", why.c_str());
     SMT_ASSERT(alloc != nullptr, "null allocator");
-    SMT_ASSERT(!benches.empty(), "empty workload");
     SMT_ASSERT(!customPolicy || nCores == 1,
                "an injected policy drives one core, not %d", nCores);
 
@@ -96,15 +97,6 @@ ChipSimulator::ChipSimulator(
     // context capacity per core and threads move between cores, so
     // capacity is part of the configuration.
     nCtx = nCores == 1 ? nThreads : soc.contextsPerCore;
-    if (nCtx < 1 || nCtx > maxThreads) {
-        fatal("contexts per core %d out of range (1..%d)", nCtx,
-              maxThreads);
-    }
-    if (nThreads > nCores * nCtx) {
-        fatal("workload has %d threads; the chip offers %d cores x "
-              "%d contexts = %d",
-              nThreads, nCores, nCtx, nCores * nCtx);
-    }
 
     buildChip(cfg_, policyKind, std::move(customPolicy));
     prewarmChip();
@@ -244,6 +236,89 @@ ChipSimulator::llcParams(const SimConfig &cfg)
     if (cfg.soc.llcWays > 0)
         lp.tags.assoc = cfg.soc.llcWays;
     return lp;
+}
+
+std::string
+ChipSimulator::problem(const SimConfig &cfg,
+                       const std::vector<std::string> &benches)
+{
+    const int nc = cfg.soc.numCores;
+    if (nc < 1)
+        return strFormat("chip needs at least one core (got %d)", nc);
+    // One core sizes its contexts to the workload (up to the model's
+    // maxThreads); a multi-core chip has a fixed count per core.
+    const int ctx = nc == 1 ? maxThreads : cfg.soc.contextsPerCore;
+    if (ctx < 1 || ctx > maxThreads) {
+        return strFormat("contexts per core %d out of range (1..%d)",
+                         ctx, maxThreads);
+    }
+    if (benches.empty())
+        return "empty workload";
+    const std::size_t n = benches.size();
+    const auto capacity = static_cast<std::size_t>(nc) * ctx;
+    if (n > capacity && nc == 1) {
+        return strFormat("workload has %zu benchmarks; the model "
+                         "supports at most %d hardware contexts (use "
+                         "--cores for more)",
+                         n, maxThreads);
+    }
+    if (n > capacity) {
+        return strFormat("workload has %zu benchmarks, exceeding the "
+                         "chip's %d cores x %d contexts = %zu threads",
+                         n, nc, ctx, capacity);
+    }
+    const std::vector<std::string> &known = allBenchNames();
+    for (const std::string &b : benches) {
+        if (std::find(known.begin(), known.end(), b) == known.end()) {
+            return strFormat("unknown benchmark '%s' (see "
+                             "--list-benchmarks)",
+                             b.c_str());
+        }
+    }
+    const std::string &arb = cfg.soc.llcArbiter;
+    if (!isLlcArbiterName(arb)) {
+        return strFormat("unknown LLC arbiter '%s' (see "
+                         "--list-arbiters)",
+                         arb.c_str());
+    }
+    SmtConfig core = cfg.core;
+    core.numThreads = nc == 1 ? static_cast<int>(n) : ctx;
+    std::string why = core.problem();
+    if (!why.empty() || nc == 1)
+        return why; // one core has no LLC
+
+    const SharedCacheParams lp = llcParams(cfg);
+    why = validateSharedCacheParams(lp, nc);
+    if (!why.empty())
+        return why;
+    // The tag array indexes sets, lines and banks with masks; with
+    // the default geometry this asks for a power-of-two way count.
+    const CacheParams &t = lp.tags;
+    const auto line = static_cast<std::uint64_t>(t.lineSize);
+    const std::uint64_t sets = t.assoc < 1 || line == 0
+        ? 0
+        : t.size / (line * static_cast<std::uint64_t>(t.assoc));
+    if (!isPow2(t.size) || !isPow2(line) || !isPow2(sets) ||
+        !isPow2(static_cast<std::uint64_t>(t.banks))) {
+        return strFormat("LLC geometry must be powers of two: %llu B, "
+                         "%d B lines, %d banks, set count %llu (%d "
+                         "ways)",
+                         static_cast<unsigned long long>(t.size),
+                         t.lineSize, t.banks,
+                         static_cast<unsigned long long>(sets),
+                         t.assoc);
+    }
+    if (isWayPartitioningArbiter(arb) && t.assoc < nc) {
+        return strFormat("way partitioning needs at least one LLC way "
+                         "per core (%d ways, %d cores)",
+                         t.assoc, nc);
+    }
+    if (isWayPartitioningArbiter(arb) && t.assoc > 32) {
+        return strFormat("way partitioning supports at most 32 LLC "
+                         "ways (have %d)",
+                         t.assoc);
+    }
+    return "";
 }
 
 void

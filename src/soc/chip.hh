@@ -102,6 +102,17 @@ class ChipSimulator
      *  the hierarchy's memory latency and any llcWays override). */
     static SharedCacheParams llcParams(const SimConfig &cfg);
 
+    /**
+     * Why a chip cannot be built from @p cfg for @p benches: the
+     * first broken rule, or "" when it can. The one statement of
+     * what is buildable: the constructors fatal() with this text,
+     * and smtsim checks every grid point with it before the first
+     * job starts. Allocates nothing when the job is buildable
+     * (beyond the name tables' one-time set-up).
+     */
+    static std::string problem(const SimConfig &cfg,
+                               const std::vector<std::string> &benches);
+
     /** Audit every core's pipeline plus the chip-level placement
      *  bookkeeping and LLC arbitration; panics on violation. */
     void auditInvariants() const;

@@ -75,7 +75,9 @@ struct SocParams
     /**
      * LLC associativity override for way-partitioning experiments;
      * 0 keeps the SharedCacheParams default. Must keep the set
-     * count a power of two (so itself a power of two up to 32).
+     * count a power of two (so itself a power of two), and at most
+     * 32 under a way-partitioning arbiter; see
+     * ChipSimulator::problem().
      */
     int llcWays = 0;
 

@@ -759,6 +759,229 @@ TEST(Migration, CommittedStreamSurvivesMigration)
 }
 
 // ---------------------------------------------------------------
+// ChipSimulator::problem(): what a chip can be built from
+// ---------------------------------------------------------------
+
+/** One problem() case: a config edit, a workload and the fragment
+ *  its rejection must carry ("" = accepted). */
+struct ProblemRow
+{
+    const char *what;
+    void (*edit)(SimConfig &);
+    std::vector<std::string> benches;
+    const char *fragment;
+};
+
+/** A 2-core x 2-context chip (the edits start from it or from the
+ *  single-core default). */
+void
+twoByTwo(SimConfig &c)
+{
+    c.soc.numCores = 2;
+    c.soc.contextsPerCore = 2;
+}
+
+const std::vector<ProblemRow> &
+problemRows()
+{
+    const std::vector<std::string> two = {"gzip", "mcf"};
+    static const std::vector<ProblemRow> rows = {
+        {"defaults", [](SimConfig &) {}, two, ""},
+        {"one core at maxThreads", [](SimConfig &) {},
+         {"gzip", "mcf", "art", "crafty", "twolf", "vpr", "eon",
+          "gcc"},
+         ""},
+        {"32 cores",
+         [](SimConfig &c) {
+             c.soc.numCores = 32;
+             c.soc.contextsPerCore = 1;
+         },
+         two, ""},
+        {"static LLC, 64 ways",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.soc.llcWays = 64;
+         },
+         two, ""},
+        {"chip-dcra LLC, 64 ways",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.soc.llcArbiter = "chip-dcra";
+             c.soc.llcWays = 64;
+         },
+         two, ""},
+        {"way-equal, one way per core",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.soc.llcArbiter = "way-equal";
+             c.soc.llcWays = 2;
+         },
+         two, ""},
+        {"no cores", [](SimConfig &c) { c.soc.numCores = 0; }, two,
+         "at least one core"},
+        {"no contexts",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.soc.contextsPerCore = 0;
+         },
+         two, "out of range"},
+        {"too many contexts",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.soc.contextsPerCore = maxThreads + 1;
+         },
+         two, "out of range"},
+        {"one core past maxThreads", [](SimConfig &) {},
+         {"gzip", "mcf", "art", "crafty", "twolf", "vpr", "eon", "gcc",
+          "gzip"},
+         "at most"},
+        {"chip over capacity", twoByTwo,
+         {"gzip", "mcf", "art", "crafty", "twolf"},
+         "exceeding the chip's 2 cores x 2"},
+        {"empty workload", [](SimConfig &) {}, {}, "empty workload"},
+        {"unknown benchmark", [](SimConfig &) {},
+         {"gzip", "nosuchbench"}, "unknown benchmark 'nosuchbench'"},
+        {"core config", [](SimConfig &c) { c.core.physRegsPerFile = 40; },
+         {"gzip", "mcf", "art", "crafty"},
+         "no rename registers: 40 phys regs"},
+        {"core config, chip contexts",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.core.physRegsPerFile = 80;
+         },
+         {"gzip"}, "no rename registers: 80 phys regs"},
+        {"LLC parameters",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.soc.llc.mshrsPerCore = 0;
+         },
+         two, "deadlock"},
+        {"LLC core count",
+         [](SimConfig &c) {
+             c.soc.numCores = 33;
+             c.soc.contextsPerCore = 1;
+         },
+         two, "at most 32 cores"},
+        {"no capacity overflow",
+         [](SimConfig &c) {
+             c.soc.numCores = 1 << 30;
+             c.soc.contextsPerCore = maxThreads;
+         },
+         two, "at most 32 cores"},
+        {"unknown LLC arbiter, even on one core",
+         [](SimConfig &c) { c.soc.llcArbiter = "nosuch"; }, two,
+         "unknown LLC arbiter 'nosuch'"},
+        {"LLC size",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.soc.llc.tags.size = 3 * 1024 * 1024;
+         },
+         two, "must be powers of two"},
+        {"3 LLC ways",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.soc.llcWays = 3;
+         },
+         two, "set count 43690"},
+        {"way-equal, 64 ways",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.soc.llcArbiter = "way-equal";
+             c.soc.llcWays = 64;
+         },
+         two, "at most 32 LLC ways"},
+        {"way-util, fewer ways than cores",
+         [](SimConfig &c) {
+             c.soc.numCores = 4;
+             c.soc.contextsPerCore = 1;
+             c.soc.llcArbiter = "way-util";
+             c.soc.llcWays = 2;
+         },
+         two, "at least one LLC way per core"},
+    };
+    return rows;
+}
+
+TEST(ChipSimulatorProblem, EveryRuleHasARow)
+{
+    for (const ProblemRow &row : problemRows()) {
+        SimConfig cfg;
+        row.edit(cfg);
+        const std::string why = ChipSimulator::problem(cfg, row.benches);
+        if (*row.fragment == '\0') {
+            EXPECT_EQ(why, "") << row.what;
+        } else {
+            EXPECT_NE(why.find(row.fragment), std::string::npos)
+                << row.what << ": " << why;
+        }
+    }
+}
+
+TEST(ChipSimulatorProblem, AcceptedRowsBuildAndRun)
+{
+    for (const ProblemRow &row : problemRows()) {
+        if (*row.fragment != '\0')
+            continue;
+        SimConfig cfg;
+        row.edit(cfg);
+        ChipSimulator chip(cfg, row.benches, PolicyKind::Icount);
+        chip.setAuditInterval(64);
+        const SimResult r = chip.run(200, 20'000);
+        EXPECT_GT(r.cycles, 0u) << row.what;
+    }
+}
+
+/**
+ * Run @p fn in a forked child and return its stderr, or "" unless
+ * it exited with status 1 (what fatal() does).
+ */
+template <typename Fn>
+std::string
+fatalMessage(Fn fn)
+{
+    int fds[2];
+    if (pipe(fds) != 0)
+        return "";
+    std::fflush(nullptr);
+    const pid_t pid = fork();
+    if (pid == 0) {
+        dup2(fds[1], 2);
+        fn();
+        _exit(0);
+    }
+    close(fds[1]);
+    std::string out;
+    char buf[256];
+    ssize_t got = 0;
+    while ((got = read(fds[0], buf, sizeof(buf))) > 0)
+        out.append(buf, static_cast<std::size_t>(got));
+    close(fds[0]);
+    int status = 0;
+    if (pid < 0 || waitpid(pid, &status, 0) != pid ||
+        !WIFEXITED(status) || WEXITSTATUS(status) != 1)
+        return "";
+    return out;
+}
+
+TEST(ChipSimulatorProblem, ConstructorsReportTheSameText)
+{
+    // Rejected configs never reach a panic deep inside the LLC or
+    // the arbiter: every constructor fatal()s with problem()'s text.
+    for (const ProblemRow &row : problemRows()) {
+        if (*row.fragment == '\0')
+            continue;
+        SimConfig cfg;
+        row.edit(cfg);
+        const std::string msg = fatalMessage([&] {
+            ChipSimulator chip(cfg, row.benches, PolicyKind::Dcra);
+        });
+        EXPECT_NE(msg.find(ChipSimulator::problem(cfg, row.benches)),
+                  std::string::npos)
+            << row.what << ": " << msg;
+    }
+}
+
+// ---------------------------------------------------------------
 // bigger chips
 // ---------------------------------------------------------------
 

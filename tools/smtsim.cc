@@ -50,7 +50,6 @@
 
 #include "alloc/chip_arbiters.hh"
 #include "alloc/resource_domain.hh"
-#include "common/bits.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "prof/host_profiler.hh"
@@ -239,37 +238,6 @@ addAllocator(Cli &c, const Value &v)
     return true;
 }
 
-bool
-addLlcArbiter(Cli &c, const Value &v)
-{
-    if (!isLlcArbiterName(v.text)) {
-        std::fprintf(stderr,
-                     "error: unknown LLC arbiter '%s' (run 'smtsim "
-                     "--list-arbiters')\n",
-                     v.text.c_str());
-        return false;
-    }
-    addPoint(c, AxLlcArb, "llcarb", v.text, &ConfigOverride::llcArbiter,
-             v.text);
-    return true;
-}
-
-bool
-addLlcWays(Cli &c, const Value &v)
-{
-    if (!isPow2(v.num)) {
-        std::fprintf(stderr,
-                     "error: --llc-ways wants a power of two in 1..32 "
-                     "(got %llu); the LLC's set count must stay a "
-                     "power of two\n",
-                     static_cast<unsigned long long>(v.num));
-        return false;
-    }
-    addPoint(c, AxLlcWays, "llcways", v.text, &ConfigOverride::llcWays,
-             static_cast<int>(v.num));
-    return true;
-}
-
 /** A setter that assigns and cannot fail. */
 #define SMT_SET(stmt)                                                 \
     [](Cli &c, const Value &v) {                                      \
@@ -345,10 +313,12 @@ const Option kOptions[] = {
      SMT_SET(c.spec.base.soc.epochCycles = v.num)},
     {"--llc-arbiter", "NAME", Both, Kind::Text, true, 0, 0,
      "shared-LLC arbiter: static chip-dcra way-equal way-util",
-     addLlcArbiter},
+     SMT_SET(addPoint(c, AxLlcArb, "llcarb", v.text,
+                      &ConfigOverride::llcArbiter, v.text))},
     {"--llc-ways", "N", Both, Kind::Num, true, 1, 32,
      "LLC associativity, a power of two (way partitioning)",
-     addLlcWays},
+     SMT_SET(addPoint(c, AxLlcWays, "llcways", v.text,
+                      &ConfigOverride::llcWays, static_cast<int>(v.num)))},
     {"--chip-jobs", "N", Both, Kind::Num, false, 0, 1024,
      "host threads ticking one chip's cores (1 = serial, 0 = one per "
      "host thread); results are byte-identical for every value",
@@ -786,62 +756,6 @@ splitOn(const std::string &s, char sep)
     return out;
 }
 
-/** How many software threads a chip shape can hold. */
-struct ChipShape
-{
-    int cores = 1;
-    int contexts = maxThreads; //!< per core
-
-    int capacity() const { return cores * contexts; }
-};
-
-/**
- * Check a workload's benchmark list: nonempty, within the chip's
- * thread capacity (cores x contexts; a single core offers the
- * model's maxThreads contexts), every name known. Reports to stderr
- * and returns false on any problem, so callers can exit nonzero
- * instead of hitting fatal() (or undefined behaviour) deep inside
- * the simulator.
- */
-bool
-validateBenches(const std::vector<std::string> &benches,
-                const ChipShape &shape)
-{
-    if (benches.empty() ||
-        (benches.size() == 1 && benches[0].empty())) {
-        std::fprintf(stderr, "error: empty workload\n");
-        return false;
-    }
-    if (static_cast<int>(benches.size()) > shape.capacity()) {
-        if (shape.cores > 1) {
-            std::fprintf(stderr,
-                         "error: workload has %zu benchmarks, "
-                         "exceeding the chip's %d cores x %d "
-                         "contexts = %d threads\n",
-                         benches.size(), shape.cores, shape.contexts,
-                         shape.capacity());
-        } else {
-            std::fprintf(stderr,
-                         "error: workload has %zu benchmarks; the "
-                         "model supports at most %d hardware "
-                         "contexts (use --cores for more)\n",
-                         benches.size(), shape.capacity());
-        }
-        return false;
-    }
-    const std::vector<std::string> &known = allBenchNames();
-    for (const std::string &b : benches) {
-        if (std::find(known.begin(), known.end(), b) == known.end()) {
-            std::fprintf(stderr,
-                         "error: unknown benchmark '%s' (run "
-                         "'smtsim --list-benchmarks' for the list)\n",
-                         b.c_str());
-            return false;
-        }
-    }
-    return true;
-}
-
 /**
  * Fail fast on an unwritable output path: probe with fopen(path,
  * "a") before the (possibly hours-long) sweep starts, removing the
@@ -894,42 +808,16 @@ emitOutput(const std::string &text, const std::string &path)
 }
 
 /**
- * Check every job of the grid the way the simulator would, before
- * the first one starts: workloads against their chip's thread
- * capacity, a multi-core chip's LLC against its core count, and the
- * core configuration against its context count.
- * A bad point must fail the whole command with exit 1, not abort
- * the process halfway through a sweep.
+ * Check every job of the grid with ChipSimulator::problem() before
+ * the first one starts, so a bad point fails the whole command with
+ * exit 1 instead of aborting the process halfway through a sweep.
  */
 bool
 validateJobs(const SweepSpec &spec)
 {
     for (const SweepJob &job : expandSweep(spec)) {
-        const SocParams &soc = job.config.soc;
-        const std::vector<std::string> &benches = job.workload.benches;
-        ChipShape shape; // one core: the single-core default shape
-        if (soc.numCores > 1) {
-            shape.cores = soc.numCores;
-            shape.contexts = soc.contextsPerCore;
-        }
-        if (!validateBenches(benches, shape))
-            return false;
-        const std::string llcWhy = soc.numCores > 1
-            ? validateSharedCacheParams(
-                  ChipSimulator::llcParams(job.config), soc.numCores)
-            : std::string();
-        if (!llcWhy.empty()) {
-            std::fprintf(stderr, "error: %s%s%s%s\n", llcWhy.c_str(),
-                         job.configLabel.empty() ? "" : " (config '",
-                         job.configLabel.c_str(),
-                         job.configLabel.empty() ? "" : "')");
-            return false;
-        }
-        SmtConfig core = job.config.core;
-        core.numThreads = soc.numCores > 1
-            ? soc.contextsPerCore
-            : static_cast<int>(benches.size());
-        const std::string why = core.problem();
+        const std::string why =
+            ChipSimulator::problem(job.config, job.workload.benches);
         if (!why.empty()) {
             std::fprintf(stderr, "error: %s%s%s%s\n", why.c_str(),
                          job.configLabel.empty() ? "" : " (config '",
