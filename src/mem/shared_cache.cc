@@ -15,7 +15,7 @@ LlcPort::triggerName(Trigger t)
 {
     static const char *const names[numTriggers] = {
         "post", "deadline", "demand-data-access", "demand-l2-loads",
-        "demand-telemetry", "demand-zero-lookahead", "quantum-end"};
+        "quantum-end"};
     return names[t];
 }
 
@@ -382,6 +382,17 @@ SharedCache::access(int core, Addr addr, Cycle now)
         arb->onClaim(core, ChipMshr, now);
     if (arbEvents & ArbEvMiss)
         arb->onMiss(core, now);
+    return res;
+}
+
+LlcResult
+SharedCache::access(int core, Addr addr, Cycle now, Cycle t)
+{
+    if (!tlm)
+        return access(core, addr, now);
+    tlm->setSlot(t);
+    const LlcResult res = access(core, addr, now);
+    tlm->setSlot(neverCycle);
     return res;
 }
 

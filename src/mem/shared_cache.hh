@@ -114,8 +114,6 @@ class LlcPort
         TrigDeadline,      //!< a core reached the cycle it was due
         TrigDataAccess,    //!< demand: policy.onDataAccess needs it
         TrigL2Loads,       //!< demand: pendingL2DLoads() read
-        TrigTelemetry,     //!< demand: a hub orders LLC events
-        TrigZeroLookahead, //!< demand: due the cycle it was made
         TrigQuantumEnd,    //!< the main thread, between quanta
         numTriggers
     };
@@ -163,6 +161,12 @@ class SharedCache
      * then the tag lookup; fills obey the core's way mask.
      */
     LlcResult access(int core, Addr addr, Cycle now);
+
+    /** The same for a request @p core made in its cycle @p t (the
+     *  LlcPort's resolver): an attached hub holds the events of the
+     *  access, the arbiter's included, for the serial slot of @p t
+     *  (see TelemetryHub::setSlot). */
+    LlcResult access(int core, Addr addr, Cycle now, Cycle t);
 
     /** Pre-warm: allocate the line without stats or arbitration. */
     void fill(Addr addr) { llc.fill(addr); }

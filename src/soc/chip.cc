@@ -508,8 +508,10 @@ ChipSimulator::tickCores(int w, Cycle from, Cycle to)
             }
             std::uint32_t slow = 0;
             for (std::uint32_t m = core.threadCtxMask; m; m &= m - 1) {
-                slow += core.mem->pendingL1DLoads(
-                            __builtin_ctz(m)) > 0 ? 1 : 0;
+                const int k = __builtin_ctz(m);
+                slow += core.mem->pendingL1DLoads(k) > 0
+                    ? (1u << slowCountShift) + (1u << k)
+                    : 0;
             }
             row[static_cast<std::size_t>(c) * maxQuantum] = {
                 slow, static_cast<std::uint32_t>(
@@ -594,12 +596,11 @@ ChipSimulator::startWavefront()
     for (int c = 0; c < nCores; ++c) {
         Core &core = cores[static_cast<std::size_t>(c)];
         // Readers that need an outcome the cycle it is made await
-        // every request at post.
+        // every request at post; with no lookahead every outcome is
+        // due then.
         LlcPort::Trigger sync = LlcPort::numTriggers;
         if (lookahead == 0)
-            sync = LlcPort::TrigZeroLookahead;
-        else if (telem)
-            sync = LlcPort::TrigTelemetry;
+            sync = LlcPort::TrigDeadline;
         else if (core.pol->eventMask() & EvDataAccess)
             sync = LlcPort::TrigDataAccess;
         Pipeline *const pipe = core.pipe.get();
@@ -1024,11 +1025,8 @@ ChipSimulator::nextQuantum(Cycle maxCycles, Cycle quiet)
             bound(auditPeriod - cycle % auditPeriod, BoundAudit);
     }
     bound(maxCycles - cycle, BoundCycleCap);
-    // The hub samples its channels and latches phase events every
-    // cycle, in their place among the LLC's events: one-cycle quanta
-    // keep both exactly where the serial loop put them.
     if (telem)
-        bound(1, BoundTelemetry);
+        bound(telem->nextSample() - cycle, BoundTelemetry);
     bound(maxQuantum, BoundBuffer);
     ++nQuanta;
     quantumCycles += q;
@@ -1039,19 +1037,14 @@ ChipSimulator::nextQuantum(Cycle maxCycles, Cycle quiet)
 void
 ChipSimulator::sampleCycle(PhaseStats &stats)
 {
-    TelemetryHub *const hub = telem;
     int nSlow = 0;
     for (int s = 0; s < nThreads; ++s) {
         const ThreadHome &h = homes[s];
         const bool slow = h.mem->pendingL1DLoads(h.ctx) > 0;
         if (slow)
             ++nSlow;
-        if (hub && slow != telemSlow[static_cast<std::size_t>(s)]) {
-            telemSlow[static_cast<std::size_t>(s)] = slow;
-            hub->event(coreTracks[static_cast<std::size_t>(h.core)],
-                       cycle, slow ? "phase-slow" : "phase-fast",
-                       "{\"thread\": " + std::to_string(s) + "}");
-        }
+        if (telem)
+            latchPhase(s, slow, cycle);
     }
     ++stats.slowCycles[static_cast<std::size_t>(nSlow)];
     std::uint64_t memLoads = 0;
@@ -1060,8 +1053,18 @@ ChipSimulator::sampleCycle(PhaseStats &stats)
             core.mem->outstandingMemLoads());
     }
     stats.mlp.sample(memLoads);
-    if (hub)
-        hub->tick(cycle);
+}
+
+void
+ChipSimulator::latchPhase(int s, bool slow, Cycle t)
+{
+    const auto i = static_cast<std::size_t>(s);
+    if (slow == telemSlow[i])
+        return;
+    telemSlow[i] = slow;
+    telem->event(coreTracks[static_cast<std::size_t>(homes[i].core)], t,
+                 slow ? "phase-slow" : "phase-fast",
+                 "{\"thread\": " + std::to_string(s) + "}");
 }
 
 bool
@@ -1077,20 +1080,36 @@ ChipSimulator::runQuanta(std::uint64_t limit, Cycle maxCycles,
             // last is sampled after chipWork, which may drain or
             // migrate threads.
             for (std::size_t i = 0; i + 1 < q; ++i) {
-                std::uint32_t nSlow = 0;
+                std::uint32_t slow = 0;
                 std::uint64_t memLoads = 0;
                 for (std::size_t c = 0; c < cores.size(); ++c) {
                     const CycleSample &cs = samples[c * maxQuantum + i];
-                    nSlow += cs.slowThreads;
+                    slow += cs.slow;
                     memLoads += cs.memLoads;
                 }
-                ++stats->slowCycles[nSlow];
+                ++stats->slowCycles[slow >> slowCountShift];
                 stats->mlp.sample(memLoads);
+            }
+            // The placement held all quantum: a thread's phase in a
+            // cycle is one bit of its home core's sample.
+            for (std::size_t i = 0; telem && i + 1 < q; ++i) {
+                for (int s = 0; s < nThreads; ++s) {
+                    const ThreadHome &h = homes[s];
+                    const CycleSample &cs =
+                        samples[static_cast<std::size_t>(h.core) *
+                                    maxQuantum + i];
+                    latchPhase(s, (cs.slow >> h.ctx & 1u) != 0,
+                               cycle - q + 1 + i);
+                }
             }
         }
         chipWork();
         if (stats)
             sampleCycle(*stats);
+        // After the quantum's last own event: the hub admits the
+        // LLC events it held and samples.
+        if (telem)
+            telem->tick(cycle);
         if (quiet >= q)
             quiet -= q;
         else

@@ -123,16 +123,16 @@ class ChipSimulator
      * IPC (migration-proof: reads committedOf), the shared LLC's
      * channels and the arbiter's event stream; run() then samples
      * every interval and records allocator epochs, migrations and
-     * phase transitions as events. All emissions happen on the main
-     * thread between cycles, or inside the LLC access stream whose
-     * total order the wavefront reproduces, so the files are
-     * byte-identical for every --chip-jobs value. The hub samples
-     * and latches phases every cycle, so while one is attached every
-     * quantum is one cycle long and every LLC request is resolved
-     * when it is posted. A 1-core chip
-     * registers its pipeline's channels unprefixed and only the
-     * "core0" event track (no "alloc" track, no chip-level IPC).
-     * Call before run().
+     * phase transitions as events. The hub only observes: the chip
+     * keeps its quanta and split LLC, and a quantum also ends at the
+     * hub's next sample cycle. Sampling and the main thread's events
+     * happen at quantum ends (phase flips come from the per-cycle
+     * samples, in cycle order); LLC events come from the access
+     * stream whose total order the wavefront reproduces, held for
+     * their request's cycle. So the files are byte-identical for
+     * every --chip-jobs value. A 1-core chip registers its
+     * pipeline's channels unprefixed and only the "core0" event
+     * track (no "alloc" track, no chip-level IPC). Call before run().
      */
     void setTelemetry(TelemetryHub *hub);
 
@@ -179,10 +179,18 @@ class ChipSimulator
     /** What one core contributes to a cycle's run statistics. */
     struct CycleSample
     {
-        std::uint32_t slowThreads; //!< homed threads with an L1D
-                                   //!< load miss outstanding
-        std::uint32_t memLoads;    //!< outstandingMemLoads()
+        /** Homed threads with an L1D load miss outstanding: bit k
+         *  for context k, and their count from bit slowCountShift
+         *  up, so one add per slow thread records both and the
+         *  cores' samples sum to the chip's count. */
+        std::uint32_t slow;
+        std::uint32_t memLoads; //!< outstandingMemLoads()
     };
+    static constexpr int slowCountShift = 16;
+    static_assert(ResourceDomain::maxDomainClaimants *
+                          ((1 << maxThreads) - 1) <
+                      1 << slowCountShift,
+                  "summed context masks would carry into the count");
 
     struct Core
     {
@@ -283,7 +291,7 @@ class ChipSimulator
         BoundDrain,     //!< migration drain in flight (q = 1)
         BoundCycleCap,  //!< maxCycles
         BoundAudit,     //!< next periodic invariant audit
-        BoundTelemetry, //!< hub attached: it samples every cycle
+        BoundTelemetry, //!< the attached hub's next sample
         BoundBuffer,    //!< CycleSample buffer capacity
         numQuantumBounds
     };
@@ -318,8 +326,11 @@ class ChipSimulator
      *  audit (multi-core only). */
     void chipWork();
     /** Sample the current cycle from the chip state (the quantum's
-     *  last cycle, after chipWork) and tick the telemetry hub. */
+     *  last cycle, after chipWork). */
     void sampleCycle(PhaseStats &stats);
+    /** Record thread @p s's phase at cycle @p t: an event when it
+     *  flipped. Telemetry only. */
+    void latchPhase(int s, bool slow, Cycle t);
     /** Rebuild every core's threadCtxMask from the placement. */
     void indexThreadsByCore();
 

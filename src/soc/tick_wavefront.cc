@@ -195,7 +195,7 @@ TickWavefront::resolveLocked(Trigger why)
         n = s->resolved.load(std::memory_order_relaxed);
         Request &r = ring[static_cast<std::size_t>(c)]
                          [static_cast<std::size_t>(n & ringMask)];
-        r.res = llc.access(c, r.addr, r.now);
+        r.res = llc.access(c, r.addr, r.now, r.t);
         s->resolved.store(n + 1, std::memory_order_release);
         ++nResolvedBy[why];
     }

@@ -30,10 +30,13 @@
  * sooner): the owning core applies outcomes at the start of each of
  * its ticks (MemorySystem::tick) and blocks only when one is due —
  * its request's cycle + lookahead has come — and still unresolved.
- * Readers that need an outcome sooner resolve on demand: a policy
- * with onDataAccess, a telemetry hub (its LLC events must stay in
- * place) and a zero lookahead await each request at post;
- * pendingL2DLoads() awaits the pending loads it counts.
+ * With a zero lookahead that is the cycle it is made, so the core
+ * awaits each request at post under the same rule. Readers that
+ * need an outcome sooner resolve on demand: a policy with
+ * onDataAccess awaits each request at post; pendingL2DLoads()
+ * awaits the pending loads it counts. A telemetry hub needs no
+ * outcome early: it holds the LLC's events for their request's
+ * cycle and merges them with the main thread's at the quantum end.
  *
  * Resolution runs at every post (so with one worker each request
  * resolves the moment it is made), inside every wait for an

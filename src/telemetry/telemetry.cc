@@ -82,11 +82,32 @@ TelemetryHub::event(int track_, Cycle now, const std::string &name,
     SMT_ASSERT(track_ >= 0 &&
                    track_ < static_cast<int>(tracks.size()),
                "event on unregistered track %d", track_);
+    if (slot != neverCycle) {
+        SMT_ASSERT(held.empty() || held.back().first <= slot,
+                   "held event out of slot order");
+        held.push_back({slot, {track_, now, name, std::move(args)}});
+        return;
+    }
+    admitHeld(now);
+    admit({track_, now, name, std::move(args)});
+}
+
+void
+TelemetryHub::admitHeld(Cycle through)
+{
+    for (; !held.empty() && held.front().first <= through;
+         held.pop_front())
+        admit(std::move(held.front().second));
+}
+
+void
+TelemetryHub::admit(Event &&e)
+{
     if (events.size() >= maxEvents) {
         ++nDroppedEvents;
         return;
     }
-    events.push_back({track_, now, name, std::move(args)});
+    events.push_back(std::move(e));
 }
 
 void

@@ -13,15 +13,19 @@
  *    hook on a nullable pointer, and nothing telemetry does may feed
  *    back into simulation timing.
  *  - **Byte-deterministic when on.** Samples are taken on the main
- *    thread between cycles (a chip with a hub attached ticks
- *    one-cycle quanta, so every `--chip-jobs` worker has finished
- *    the cycle), and events are only emitted from (a) the main
- *    thread between cycles or (b) inside the shared-LLC access path,
+ *    thread at chip quantum ends (an attached hub ends a quantum at
+ *    its next sample cycle, after every `--chip-jobs` worker has
+ *    finished it). Events come from (a) the main thread at quantum
+ *    ends, in cycle order, or (b) inside the shared-LLC access path,
  *    whose total order across cores the TickWavefront reproduces
- *    exactly for every worker count (with a hub attached every LLC
- *    request is resolved when it is posted). Rendering uses the
- *    fixed-format helpers of common/json.hh. The same run therefore
- *    emits the same bytes under any `--jobs` / `--chip-jobs` value.
+ *    exactly for every worker count. Each event fills the serial
+ *    slot of one chip cycle: its own cycle, or for an LLC event its
+ *    request's post cycle (see setSlot). LLC events are held until
+ *    the main thread passes their slot, so the admitted stream, and
+ *    the set the event cap drops, are the serial loop's. Rendering
+ *    uses the fixed-format helpers of common/json.hh. The same run
+ *    therefore emits the same bytes under any `--jobs` /
+ *    `--chip-jobs` value.
  *  - **Bounded.** Sample and event buffers have hard caps; overflow
  *    drops new entries and counts them (`droppedSamples` /
  *    `droppedEvents` in the NDJSON footer) instead of growing
@@ -42,8 +46,10 @@
 #define DCRA_SMT_TELEMETRY_TELEMETRY_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -81,12 +87,26 @@ class TelemetryHub
     int track(const std::string &name);
 
     /**
-     * Record one discrete decision. @p args, when non-empty, must be
-     * a complete JSON object literal (e.g. `{"thread": 3}`) built
-     * with the common/json.hh formatters; it is embedded verbatim.
+     * Record one discrete decision at cycle @p now. @p args, when
+     * non-empty, must be a complete JSON object literal (e.g.
+     * `{"thread": 3}`) built with the common/json.hh formatters; it
+     * is embedded verbatim. While a slot is set the event is held
+     * (see setSlot); otherwise the held events of slots up to
+     * @p now are admitted first, then this one.
      */
     void event(int track, Cycle now, const std::string &name,
                std::string args = std::string());
+
+    /**
+     * Hold the events recorded from here on, ordered by chip cycle
+     * @p t (neverCycle: stop holding). The shared LLC sets its
+     * request's post cycle around each access: the access runs on
+     * whichever worker resolves it, before the main thread has
+     * emitted the events of earlier cycles, and its events carry the
+     * arrival time, not the cycle whose serial slot they fill. Held
+     * events must come in slot order, as the resolver's do.
+     */
+    void setSlot(Cycle t) { slot = t; }
 
     /**
      * Arm sampling at @p now (the measurement-window start, after
@@ -95,13 +115,23 @@ class TelemetryHub
      */
     void beginSampling(Cycle now);
 
-    /** Per-cycle hook; cheap no-op until the next sample boundary. */
+    /**
+     * Main-thread hook after cycle @p now's own events: admits the
+     * events held through @p now and samples at a sample boundary.
+     * A chip calls it at every quantum end; cheap when there is
+     * nothing to do.
+     */
     void
     tick(Cycle now)
     {
+        admitHeld(now);
         if (sampling && now >= nextSampleAt)
             sampleNow(now);
     }
+
+    /** The next cycle tick() samples at (neverCycle while not
+     *  sampling): a chip ends a quantum there. */
+    Cycle nextSample() const { return sampling ? nextSampleAt : neverCycle; }
 
     /** @name Introspection */
     /** @{ */
@@ -153,6 +183,10 @@ class TelemetryHub
     };
 
     void sampleNow(Cycle now);
+    /** Admit the held events of slots up to @p through. */
+    void admitHeld(Cycle through);
+    /** Append @p e to the stream, or drop it past the cap. */
+    void admit(Event &&e);
 
     Cycle ival;
     std::size_t maxSamples;
@@ -164,6 +198,9 @@ class TelemetryHub
     std::vector<Channel> channels;
     std::vector<std::string> tracks;
     std::vector<Event> events;
+    Cycle slot = neverCycle; //!< setSlot()
+    /** Held events and their slots, in slot order. */
+    std::deque<std::pair<Cycle, Event>> held;
 
     /** Flattened sample matrix: sampleCount x channelCount. Counter
      *  deltas are stored exactly (they fit a double far below 2^53

@@ -322,7 +322,7 @@ TEST(ProfSim, ChipProfilerPerturbsNothingAndRecordsWavefront)
             EXPECT_GT(posted, 0u);
             const JsonValue *by = v.find("resolvedBy");
             ASSERT_NE(by, nullptr);
-            EXPECT_EQ(by->obj.size(), 7u);
+            EXPECT_EQ(by->obj.size(), 5u);
             std::uint64_t resolved = 0;
             for (const auto &kv : by->obj)
                 resolved += kv.second.asU64();

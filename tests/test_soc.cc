@@ -41,7 +41,6 @@
 #include "soc/allocator.hh"
 #include "soc/chip.hh"
 #include "soc/tick_wavefront.hh"
-#include "telemetry/telemetry.hh"
 
 namespace {
 
@@ -1184,35 +1183,11 @@ TEST(ParallelChip, SeveralCoresPerWorkerWithWarmup)
     }
 }
 
-TEST(ParallelChip, QuantaMatchOneCycleSteps)
-{
-    // A telemetry hub forces one-cycle quanta, i.e. the per-cycle
-    // loop: folding the cores' per-cycle samples at quantum ends must
-    // give the same phase histogram and MLP mean, serial or not.
-    const SimConfig cfg = memChipConfig(4);
-    const std::vector<std::string> benches = memChipBenches(8);
-    const SimResult quanta =
-        runChipWith(cfg, benches, 1, 2500, 1'000'000, 500);
-    for (const int jobs : {1, 4}) {
-        SimConfig c = cfg;
-        c.soc.chipJobs = jobs;
-        TelemetryHub hub(0);
-        ChipSimulator chip(c, benches, PolicyKind::Dcra);
-        chip.setTelemetry(&hub);
-        expectSameChipResult(quanta, chip.run(2500, 1'000'000, 500),
-                             jobs == 1 ? "one-cycle steps, jobs=1"
-                                       : "one-cycle steps, jobs=4");
-    }
-}
-
-// ---------------------------------------------------------------
-// split-transaction LLC: every way an outcome gets resolved
-// ---------------------------------------------------------------
-
-/** A profiled run's wave-config resolvedBy counts (trigger name ->
- *  requests), plus "posted". Empty for a serial run. */
+/** A profiled run's wave-config counts: resolvedBy (trigger name ->
+ *  requests), "posted", "quanta" and "quantumCycles". Empty for a
+ *  serial run. */
 std::map<std::string, std::uint64_t>
-resolutionCounts(HostProfiler &prof)
+waveConfigCounts(HostProfiler &prof)
 {
     std::map<std::string, std::uint64_t> out;
     const std::string text = prof.renderNdjson("job0");
@@ -1226,6 +1201,8 @@ resolutionCounts(HostProfiler &prof)
             const JsonValue *type = v.find("type");
             if (type && type->str == "wave-config") {
                 out["posted"] = v.find("llcPosted")->asU64();
+                out["quanta"] = v.find("quanta")->asU64();
+                out["quantumCycles"] = v.find("quantumCycles")->asU64();
                 for (const auto &kv : v.find("resolvedBy")->obj)
                     out[kv.first] = kv.second.asU64();
             }
@@ -1234,6 +1211,39 @@ resolutionCounts(HostProfiler &prof)
     }
     return out;
 }
+
+TEST(ParallelChip, QuantaMatchOneCycleSteps)
+{
+    // An audit every cycle bounds every quantum at one cycle, i.e.
+    // the per-cycle loop: folding the cores' per-cycle samples at
+    // quantum ends must give the same phase histogram and MLP mean,
+    // serial or not.
+    const SimConfig cfg = memChipConfig(4);
+    const std::vector<std::string> benches = memChipBenches(8);
+    const SimResult quanta =
+        runChipWith(cfg, benches, 1, 2500, 1'000'000, 500);
+    for (const int jobs : {1, 4}) {
+        SimConfig c = cfg;
+        c.soc.chipJobs = jobs;
+        HostProfiler prof(64);
+        ChipSimulator chip(c, benches, PolicyKind::Dcra);
+        chip.setAuditInterval(1);
+        chip.setHostProfiler(&prof);
+        expectSameChipResult(quanta, chip.run(2500, 1'000'000, 500),
+                             jobs == 1 ? "one-cycle steps, jobs=1"
+                                       : "one-cycle steps, jobs=4");
+        if (jobs > 1) {
+            std::map<std::string, std::uint64_t> n =
+                waveConfigCounts(prof);
+            EXPECT_GT(n["quanta"], 0u);
+            EXPECT_EQ(n["quanta"], n["quantumCycles"]);
+        }
+    }
+}
+
+// ---------------------------------------------------------------
+// split-transaction LLC: every way an outcome gets resolved
+// ---------------------------------------------------------------
 
 /**
  * Run @p cfg serially and at --chip-jobs 2, 3 and 4 (the parallel
@@ -1269,7 +1279,7 @@ expectSplitMatchesSerial(SimConfig cfg,
             std::string(what) + ", jobs=" + std::to_string(jobs);
         expectSameChipResult(serial, chip->run(commits, 1'000'000, 300),
                              label.c_str());
-        counts = resolutionCounts(prof);
+        counts = waveConfigCounts(prof);
     }
     EXPECT_GT(counts["posted"], 0u) << what;
     return counts;
@@ -1321,15 +1331,15 @@ TEST(SplitLlc, ShortAndZeroLookahead)
                                        "l2 latency 0")["deadline"],
               0u);
     // No latency at all below the LLC's bus: every outcome is due
-    // the cycle it is made, so every request is awaited at post.
+    // the cycle it is made, so the deadline rule awaits every
+    // request at post.
     SimConfig zero = memChipConfig(4);
     zero.mem.l1Latency = 0;
     zero.mem.l2Latency = 0;
     zero.soc.llc.latency = 0;
     auto n = expectSplitMatchesSerial(
         zero, memChipBenches(8), PolicyKind::Dcra, 1500, "lookahead 0");
-    EXPECT_GT(n["demand-zero-lookahead"], 0u);
-    EXPECT_EQ(n["deadline"], 0u);
+    EXPECT_GT(n["deadline"], 0u);
 }
 
 TEST(SplitLlc, MigrationsWithRequestsInFlight)

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "prof/host_profiler.hh"
 #include "runner/result_sink.hh"
 #include "runner/runner.hh"
 #include "sim/simulator.hh"
@@ -359,6 +360,97 @@ TEST(TelemetrySim, FourCoreTelemetryByteIdenticalAcrossWorkers)
     EXPECT_NE(serial.second.find("phase-slow"), std::string::npos);
     EXPECT_NE(serial.first.find("c3."), std::string::npos);
     EXPECT_NE(serial.second.find("core3"), std::string::npos);
+}
+
+/** 4C8T under DCRA, synpa and chip-dcra, with migrations. */
+SimConfig
+fourCoreConfig(int chipJobs)
+{
+    SimConfig cfg = telemetryChipConfig(chipJobs);
+    cfg.soc.numCores = 4;
+    cfg.soc.allocator = AllocatorKind::Synpa;
+    cfg.soc.epochCycles = 300;
+    return cfg;
+}
+
+const std::vector<std::string> fourCoreBenches = {
+    "mcf", "art", "swim", "equake", "lucas", "twolf", "vpr", "parser"};
+
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char ch : text) {
+        h ^= static_cast<unsigned char>(ch);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(TelemetrySim, HubOnChipTicksMultiCycleQuanta)
+{
+    // The hub only observes: a quantum ends at its next sample (or
+    // any other bound), not after every cycle.
+    HostProfiler prof(64);
+    TelemetryHub hub(250);
+    ChipSimulator chip(fourCoreConfig(4), fourCoreBenches,
+                       PolicyKind::Dcra);
+    chip.setTelemetry(&hub);
+    chip.setHostProfiler(&prof);
+    (void)chip.run(3000, 2'000'000, 500);
+    std::uint64_t quanta = 0, cycles = 0;
+    const std::string text = prof.renderNdjson("job0");
+    for (std::size_t pos = 0; pos < text.size();) {
+        std::size_t end = text.find('\n', pos);
+        if (end == std::string::npos)
+            end = text.size();
+        JsonValue v;
+        const JsonValue *type = nullptr;
+        if (parseJson(text.substr(pos, end - pos), v) &&
+            (type = v.find("type")) && type->str == "wave-config") {
+            quanta = v.find("quanta")->asU64();
+            cycles = v.find("quantumCycles")->asU64();
+        }
+        pos = end + 1;
+    }
+    ASSERT_GT(quanta, 0u);
+    EXPECT_GT(cycles, quanta);
+    EXPECT_GT(hub.sampleCount(), 0u);
+}
+
+TEST(TelemetrySim, FourCoreSidecarDigestsPinned)
+{
+    // The rendered bytes of a 4C8T run with migrations, at one and
+    // four workers and with a small event cap (its drop set follows
+    // the serial order too). The digests pin the files across
+    // changes to the chip schedule; regenerate them only together
+    // with the goldens, when simulated behaviour changes on purpose.
+    struct Case
+    {
+        std::size_t maxEvents;
+        std::uint64_t ts, trace;
+    };
+    const Case cases[] = {
+        {37, 0x16a2513c16554ddfull, 0x8f5360058b7c11beull},
+        {1u << 20, 0x2ccae1cd0959e62full, 0x93d9c6eca61806ceull},
+    };
+    for (const Case &k : cases) {
+        for (const int jobs : {1, 4}) {
+            TelemetryHub hub(250, 1u << 20, k.maxEvents);
+            ChipSimulator chip(fourCoreConfig(jobs), fourCoreBenches,
+                               PolicyKind::Dcra);
+            chip.setTelemetry(&hub);
+            const SimResult res = chip.run(3000, 2'000'000, 500);
+            const std::string what = "cap " +
+                std::to_string(k.maxEvents) + ", jobs " +
+                std::to_string(jobs);
+            EXPECT_GT(res.migrations, 0u) << what;
+            EXPECT_EQ(hub.droppedEvents() > 0, k.maxEvents == 37)
+                << what;
+            EXPECT_EQ(fnv1a(hub.renderTimeSeries()), k.ts) << what;
+            EXPECT_EQ(fnv1a(hub.renderChromeTrace()), k.trace) << what;
+        }
+    }
 }
 
 // ---------------------------------------------------------------
