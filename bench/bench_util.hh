@@ -23,7 +23,7 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "sim/experiment.hh"
+#include "runner/runner.hh"
 
 namespace smtbench {
 

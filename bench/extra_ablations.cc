@@ -13,9 +13,10 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "bench/bench_util.hh"
-#include "sim/metrics.hh"
+#include "runner/runner.hh"
 
 namespace {
 
@@ -25,12 +26,20 @@ using namespace smtbench;
 double
 mixHmean(const PolicyParams &pp)
 {
-    SimConfig cfg;
-    cfg.policy = pp;
-    ExperimentContext ctx(cfg, commitBudget(), warmupBudget());
+    SweepSpec spec;
+    spec.name = "ablate";
+    spec.base.policy = pp;
+    spec.commits = commitBudget();
+    spec.warmup = warmupBudget();
+    spec.workloads = workloadsOf(2, WorkloadType::MIX);
+    for (const Workload &w : workloadsOf(3, WorkloadType::MIX))
+        spec.workloads.push_back(w);
+    spec.policies = {PolicyKind::Dcra};
+    const SweepResults res =
+        SweepRunner(std::move(spec), benchJobs()).run();
     double h = 0.0;
-    h += ctx.runCell(2, WorkloadType::MIX, PolicyKind::Dcra).hmean;
-    h += ctx.runCell(3, WorkloadType::MIX, PolicyKind::Dcra).hmean;
+    h += cellAverage(res, 2, WorkloadType::MIX, PolicyKind::Dcra).hmean;
+    h += cellAverage(res, 3, WorkloadType::MIX, PolicyKind::Dcra).hmean;
     return h / 2.0;
 }
 

@@ -12,8 +12,10 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "bench/bench_util.hh"
+#include "runner/runner.hh"
 #include "sim/metrics.hh"
 
 int
@@ -25,8 +27,14 @@ main()
     banner("Extra: degenerate cases",
            "DCRA vs DCRA-DEG (paper section 5.2 future work)");
 
-    SimConfig cfg;
-    ExperimentContext ctx(cfg, commitBudget(), warmupBudget());
+    SweepSpec spec;
+    spec.name = "degenerate";
+    spec.commits = commitBudget();
+    spec.warmup = warmupBudget();
+    spec.workloads = allWorkloads();
+    spec.policies = {PolicyKind::Dcra, PolicyKind::DcraDeg};
+    const SweepResults res =
+        SweepRunner(std::move(spec), benchJobs()).run();
 
     TextTable out;
     out.header({"cell", "DCRA thr", "DEG thr", "thr +%",
@@ -37,11 +45,10 @@ main()
     double memGain = 0.0;
     int memCells = 0;
     for (int i = 0; i < nCells; ++i) {
-        const auto dcra = ctx.runCell(cells[i].threads,
-                                      cells[i].type,
-                                      PolicyKind::Dcra);
-        const auto deg = ctx.runCell(cells[i].threads, cells[i].type,
-                                     PolicyKind::DcraDeg);
+        const CellAverage dcra = cellAverage(
+            res, cells[i].threads, cells[i].type, PolicyKind::Dcra);
+        const CellAverage deg = cellAverage(
+            res, cells[i].threads, cells[i].type, PolicyKind::DcraDeg);
         const double tg =
             improvementPct(deg.throughput, dcra.throughput);
         const double hg = improvementPct(deg.hmean, dcra.hmean);

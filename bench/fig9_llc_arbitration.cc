@@ -11,7 +11,8 @@
  * grids execute as declarative sweeps on the runner subsystem;
  * setting SMT_BENCH_OUTPUT=prefix additionally writes the raw sweep
  * results as `prefix.2core.json` / `prefix.4core.json` (schema
- * smtsim-sweep-v1, including the per-core soc arbitration block).
+ * smtsim-sweep-v1, including the per-core soc arbitration block);
+ * the binary exits 1 if either write fails.
  *
  * Shape targets: arbitration only matters where LLC pressure is
  * asymmetric. On MEM cells every core hammers the LLC equally, so
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "common/file_io.hh"
 #include "runner/result_sink.hh"
 #include "runner/runner.hh"
 
@@ -110,23 +112,19 @@ runGrid(const char *name, std::vector<Workload> workloads, int cores)
     return runner.run();
 }
 
-void
+/** Write the sweep JSON under SMT_BENCH_OUTPUT, when set; false
+ *  when that write failed. */
+bool
 maybeDump(const SweepResults &res, const char *suffix)
 {
     const char *prefix = std::getenv("SMT_BENCH_OUTPUT");
     if (!prefix)
-        return;
+        return true;
     const std::string path = std::string(prefix) + suffix;
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "fig9: cannot write '%s'\n",
-                     path.c_str());
-        return;
-    }
-    const std::string doc = JsonSink().render(res);
-    std::fputs(doc.c_str(), f);
-    std::fclose(f);
+    if (!writeTextFile(path, JsonSink().render(res)))
+        return false;
     std::printf("wrote %s\n", path.c_str());
+    return true;
 }
 
 /** Averages of one (workload type, arbiter) cell. */
@@ -202,7 +200,7 @@ main()
         runGrid("fig9-2core", fourThreadWorkloads(), 2);
     report("(a) 2 cores x 2 contexts, 4-thread cells (DCRA per "
            "core)", twoCore);
-    maybeDump(twoCore, ".2core.json");
+    bool dumped = maybeDump(twoCore, ".2core.json");
 
     std::vector<Workload> big;
     for (const WorkloadType type :
@@ -214,7 +212,7 @@ main()
         runGrid("fig9-4core", std::move(big), 4);
     report("(b) 4 cores x 2 contexts, 8-thread combinations (DCRA "
            "per core)", fourCore);
-    maybeDump(fourCore, ".4core.json");
+    dumped = maybeDump(fourCore, ".4core.json") && dumped;
 
-    return 0;
+    return dumped ? 0 : 1;
 }

@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_io.hh"
 #include "common/version.hh"
 #include "prof/host_info.hh"
 #include "soc/chip.hh"
@@ -451,14 +452,8 @@ main(int argc, char **argv)
     if (outPath.empty()) {
         std::fputs(doc.c_str(), stdout);
     } else {
-        std::FILE *f = std::fopen(outPath.c_str(), "w");
-        if (!f || std::fputs(doc.c_str(), f) < 0 ||
-            std::fclose(f) != 0) {
-            std::fprintf(stderr,
-                         "perf_throughput: failed writing '%s'\n",
-                         outPath.c_str());
+        if (!writeTextFile(outPath, doc))
             return 1;
-        }
         std::fprintf(stderr, "wrote %s\n", outPath.c_str());
     }
 

@@ -172,7 +172,7 @@ class ProfScope
 
 /**
  * Write prof.renderNdjson(source) to base + ".prof.ndjson".
- * Returns false (with a stderr message) on I/O failure.
+ * Returns false (with a warn() line) on I/O failure.
  */
 bool writeHostProfile(const HostProfiler &prof,
                       const std::string &base,

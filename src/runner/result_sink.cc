@@ -288,18 +288,11 @@ JsonSink::render(const SweepResults &res) const
             out += ", \"singleIpc\": ";
             out += hmean ? fmtDouble(r.summary.singleIpc[t])
                          : "null";
-            out += ", \"committed\": " + fmtU64(tr.committed);
-            out += ", \"fetched\": " + fmtU64(tr.fetched);
-            out += ", \"fetchedWrongPath\": " +
-                fmtU64(tr.fetchedWrongPath);
-            out += ", \"squashed\": " + fmtU64(tr.squashed);
-            out += ", \"condBranches\": " + fmtU64(tr.condBranches);
-            out += ", \"mispredicts\": " + fmtU64(tr.mispredicts);
-            out += ", \"flushes\": " + fmtU64(tr.flushes);
-            out += ", \"l1dAccesses\": " + fmtU64(tr.l1dAccesses);
-            out += ", \"l1dMisses\": " + fmtU64(tr.l1dMisses);
-            out += ", \"l2Accesses\": " + fmtU64(tr.l2Accesses);
-            out += ", \"l2Misses\": " + fmtU64(tr.l2Misses);
+            for (const ThreadCounterField &f : threadCounterFields) {
+                out += ", \"";
+                out += f.key;
+                out += "\": " + fmtU64(tr.*f.member);
+            }
             out += "}";
             out += t + 1 < raw.threads.size() ? ",\n" : "\n";
         }

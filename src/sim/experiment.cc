@@ -4,46 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "common/logging.hh"
-#include "sim/metrics.hh"
-#include "sim/simulator.hh"
-
 namespace smt {
-
-ExperimentContext::ExperimentContext(
-    const SimConfig &base_, std::uint64_t commitLimit,
-    std::uint64_t warmupCommits,
-    std::shared_ptr<BaselineCache> baselines_)
-    : base(base_), limit(commitLimit), warmup(warmupCommits),
-      baselines(baselines_ ? std::move(baselines_)
-                           : std::make_shared<BaselineCache>())
-{
-}
-
-double
-ExperimentContext::singleThreadIpc(const std::string &bench)
-{
-    return baselines->ipc(base, bench, limit, warmup);
-}
-
-RunSummary
-ExperimentContext::runWorkload(const Workload &w, PolicyKind policy)
-{
-    // Runs on the single-core machine whatever base.soc says, like
-    // its baselines (see BaselineCache).
-    SimConfig one = base;
-    one.soc = SocParams();
-    Simulator sim(one, w.benches, policy);
-    RunSummary s;
-    s.raw = sim.run(limit, 50'000'000, warmup);
-    for (std::size_t i = 0; i < w.benches.size(); ++i) {
-        s.multiIpc.push_back(s.raw.threads[i].ipc);
-        s.singleIpc.push_back(singleThreadIpc(w.benches[i]));
-    }
-    s.throughput = s.raw.throughput();
-    s.hmean = hmeanSpeedup(s.multiIpc, s.singleIpc);
-    return s;
-}
 
 namespace {
 
@@ -141,19 +102,12 @@ runSummaryToJson(const RunSummary &s)
         if (t)
             out += ",";
         out += "{\"bench\":\"" + jsonEscape(tr.bench) + "\"";
-        out += ",\"committed\":" + fmtU64(tr.committed);
         out += ",\"ipc\":" + fmtDoubleExact(tr.ipc);
-        out += ",\"fetched\":" + fmtU64(tr.fetched);
-        out += ",\"fetchedWrongPath\":" +
-            fmtU64(tr.fetchedWrongPath);
-        out += ",\"squashed\":" + fmtU64(tr.squashed);
-        out += ",\"condBranches\":" + fmtU64(tr.condBranches);
-        out += ",\"mispredicts\":" + fmtU64(tr.mispredicts);
-        out += ",\"flushes\":" + fmtU64(tr.flushes);
-        out += ",\"l1dAccesses\":" + fmtU64(tr.l1dAccesses);
-        out += ",\"l1dMisses\":" + fmtU64(tr.l1dMisses);
-        out += ",\"l2Accesses\":" + fmtU64(tr.l2Accesses);
-        out += ",\"l2Misses\":" + fmtU64(tr.l2Misses);
+        for (const ThreadCounterField &f : threadCounterFields) {
+            out += ",\"";
+            out += f.key;
+            out += "\":" + fmtU64(tr.*f.member);
+        }
         out += "}";
     }
     out += "]";
@@ -226,22 +180,12 @@ runSummaryFromJson(const JsonValue &v, RunSummary &out)
         if (!bench || bench->kind != JsonValue::String)
             return false;
         tr.bench = bench->str;
-        double ipc = 0.0;
-        if (!u64Field(tv, "committed", tr.committed) ||
-            !numberField(tv, "ipc", ipc) ||
-            !u64Field(tv, "fetched", tr.fetched) ||
-            !u64Field(tv, "fetchedWrongPath", tr.fetchedWrongPath) ||
-            !u64Field(tv, "squashed", tr.squashed) ||
-            !u64Field(tv, "condBranches", tr.condBranches) ||
-            !u64Field(tv, "mispredicts", tr.mispredicts) ||
-            !u64Field(tv, "flushes", tr.flushes) ||
-            !u64Field(tv, "l1dAccesses", tr.l1dAccesses) ||
-            !u64Field(tv, "l1dMisses", tr.l1dMisses) ||
-            !u64Field(tv, "l2Accesses", tr.l2Accesses) ||
-            !u64Field(tv, "l2Misses", tr.l2Misses)) {
+        if (!numberField(tv, "ipc", tr.ipc))
             return false;
+        for (const ThreadCounterField &f : threadCounterFields) {
+            if (!u64Field(tv, f.key, tr.*f.member))
+                return false;
         }
-        tr.ipc = ipc;
         r.threads.push_back(std::move(tr));
     }
 
@@ -267,23 +211,6 @@ runSummaryFromJson(const JsonValue &v, RunSummary &out)
         r.llcPerCore.push_back(cs);
     }
     return true;
-}
-
-CellAverage
-ExperimentContext::runCell(int numThreads, WorkloadType type,
-                           PolicyKind policy)
-{
-    const auto cell = workloadsOf(numThreads, type);
-    SMT_ASSERT(!cell.empty(), "empty workload cell");
-    CellAverage avg;
-    for (const Workload &w : cell) {
-        const RunSummary s = runWorkload(w, policy);
-        avg.throughput += s.throughput;
-        avg.hmean += s.hmean;
-    }
-    avg.throughput /= static_cast<double>(cell.size());
-    avg.hmean /= static_cast<double>(cell.size());
-    return avg;
 }
 
 } // namespace smt

@@ -1,9 +1,11 @@
 /**
  * @file
- * Experiment plumbing shared by the bench binaries: runs workloads
- * under policies, caches single-thread baselines (needed for Hmean),
- * and averages the four groups of each workload cell the way the
- * paper does.
+ * What a run reports to the experiments: RunSummary condenses one
+ * multithreaded run (throughput, Hmean against the single-thread
+ * baselines, the raw SimResult) and serializes it for the sweep
+ * journal and the isolated-job pipe; CellAverage is the paper's
+ * four-group mean of a workload cell. The runner's executeJob is
+ * the one place that runs a job and fills a RunSummary.
  */
 
 #ifndef DCRA_SMT_SIM_EXPERIMENT_HH
@@ -11,21 +13,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
-#include "policy/factory.hh"
-#include "runner/baseline_cache.hh"
 #include "sim/sim_config.hh"
-#include "sim/workload.hh"
 
 namespace smt {
 
-/** Average throughput/Hmean over a family of runs (one workload
- * cell); shared by ExperimentContext::runCell and the runner's
- * cellAverage(). */
+/** Average throughput/Hmean of the four groups of one workload cell
+ * under one policy and config, as the runner's cellAverage() takes
+ * it from a sweep. */
 struct CellAverage
 {
     double throughput = 0.0;
@@ -77,53 +75,6 @@ std::string runSummaryToJson(const RunSummary &s);
 bool runSummaryFromJson(const JsonValue &v, RunSummary &out);
 
 /** @} */
-
-/**
- * Shared context for a family of runs under one hardware
- * configuration. Single-thread baselines come from a concurrency-
- * safe BaselineCache, which may be shared with other contexts (or a
- * SweepRunner) so each (config, benchmark) baseline is simulated at
- * most once per process.
- */
-class ExperimentContext
-{
-  public:
-    /**
-     * @param base hardware/policy configuration for all runs.
-     * @param commitLimit per-run first-thread commit budget.
-     * @param warmupCommits commits executed before measuring.
-     * @param baselines shared baseline cache; nullptr = private one.
-     */
-    explicit ExperimentContext(
-        const SimConfig &base, std::uint64_t commitLimit = 100'000,
-        std::uint64_t warmupCommits = 0,
-        std::shared_ptr<BaselineCache> baselines = nullptr);
-
-    /** Single-thread IPC of a benchmark (cached). */
-    double singleThreadIpc(const std::string &bench);
-
-    /** Run one workload under one policy. */
-    RunSummary runWorkload(const Workload &w, PolicyKind policy);
-
-    /**
-     * Average throughput and Hmean of the four groups of a workload
-     * cell under one policy.
-     */
-    CellAverage runCell(int numThreads, WorkloadType type,
-                        PolicyKind policy);
-
-    /** Configuration in use. */
-    const SimConfig &config() const { return base; }
-
-    /** Commit budget per run. */
-    std::uint64_t commitLimit() const { return limit; }
-
-  private:
-    SimConfig base;
-    std::uint64_t limit;
-    std::uint64_t warmup;
-    std::shared_ptr<BaselineCache> baselines;
-};
 
 } // namespace smt
 

@@ -35,12 +35,15 @@ struct SimConfig
     std::uint64_t seed = 0x5eed;
 };
 
-/** Per-thread outcome of a run. */
-struct ThreadResult
+/**
+ * A software thread's cumulative pipeline and private-cache counters.
+ * threadCounterFields below is the one list of them: the journal,
+ * the JSON sink and the chip's interval arithmetic walk it, so a new
+ * counter is a member here plus a row there.
+ */
+struct ThreadCounters
 {
-    std::string bench;
     std::uint64_t committed = 0;
-    double ipc = 0.0;
     std::uint64_t fetched = 0;
     std::uint64_t fetchedWrongPath = 0;
     std::uint64_t squashed = 0;
@@ -51,6 +54,61 @@ struct ThreadResult
     std::uint64_t l1dMisses = 0;
     std::uint64_t l2Accesses = 0;
     std::uint64_t l2Misses = 0;
+
+    ThreadCounters operator-(const ThreadCounters &o) const;
+    ThreadCounters &operator+=(const ThreadCounters &o);
+};
+
+/** One ThreadCounters member and its JSON key. */
+struct ThreadCounterField
+{
+    const char *key;
+    std::uint64_t ThreadCounters::*member;
+};
+
+/** Every ThreadCounters member, in the JSON sink's order. */
+inline constexpr ThreadCounterField threadCounterFields[] = {
+    {"committed", &ThreadCounters::committed},
+    {"fetched", &ThreadCounters::fetched},
+    {"fetchedWrongPath", &ThreadCounters::fetchedWrongPath},
+    {"squashed", &ThreadCounters::squashed},
+    {"condBranches", &ThreadCounters::condBranches},
+    {"mispredicts", &ThreadCounters::mispredicts},
+    {"flushes", &ThreadCounters::flushes},
+    {"l1dAccesses", &ThreadCounters::l1dAccesses},
+    {"l1dMisses", &ThreadCounters::l1dMisses},
+    {"l2Accesses", &ThreadCounters::l2Accesses},
+    {"l2Misses", &ThreadCounters::l2Misses},
+};
+static_assert(sizeof(threadCounterFields) /
+                      sizeof(threadCounterFields[0]) *
+                      sizeof(std::uint64_t) ==
+                  sizeof(ThreadCounters),
+              "threadCounterFields must list every ThreadCounters "
+              "member");
+
+inline ThreadCounters &
+ThreadCounters::operator+=(const ThreadCounters &o)
+{
+    for (const ThreadCounterField &f : threadCounterFields)
+        this->*f.member += o.*f.member;
+    return *this;
+}
+
+inline ThreadCounters
+ThreadCounters::operator-(const ThreadCounters &o) const
+{
+    ThreadCounters r = *this;
+    for (const ThreadCounterField &f : threadCounterFields)
+        r.*f.member -= o.*f.member;
+    return r;
+}
+
+/** Per-thread outcome of a run. */
+struct ThreadResult : ThreadCounters
+{
+    std::string bench;
+    double ipc = 0.0;
 
     /** Data-side L2 miss rate in percent (paper Table 3 metric). */
     double

@@ -203,26 +203,6 @@ class ChipSimulator
         std::uint32_t threadCtxMask = 0;
     };
 
-    /** Cumulative per-(core,context) counters a software thread
-     *  accrues between attach and detach. */
-    struct CtxTotals
-    {
-        std::uint64_t committed = 0;
-        std::uint64_t fetched = 0;
-        std::uint64_t fetchedWrongPath = 0;
-        std::uint64_t squashed = 0;
-        std::uint64_t condBranches = 0;
-        std::uint64_t mispredicts = 0;
-        std::uint64_t flushes = 0;
-        std::uint64_t l1dAccesses = 0;
-        std::uint64_t l1dMisses = 0;
-        std::uint64_t l2Accesses = 0;
-        std::uint64_t l2Misses = 0;
-
-        CtxTotals operator-(const CtxTotals &o) const;
-        CtxTotals &operator+=(const CtxTotals &o);
-    };
-
     /** Where a software thread lives and what it accrued. */
     struct ThreadHome
     {
@@ -237,8 +217,8 @@ class ChipSimulator
         int core = 0;
         int ctx = 0;
         /** @} */
-        CtxTotals accum;    //!< totals from previous homes
-        CtxTotals attachAt; //!< current home's counters at attach
+        ThreadCounters accum;    //!< totals from previous homes
+        ThreadCounters attachAt; //!< current home's counters at attach
     };
 
     /** Private constructor behind the public ones; customPolicy,
@@ -341,8 +321,8 @@ class ChipSimulator
     void workerLoop(int w, Cycle last);
     /** @} */
 
-    CtxTotals readCtx(int core, int ctx) const;
-    CtxTotals totalsOf(int thread) const;
+    ThreadCounters readCtx(int core, int ctx) const;
+    ThreadCounters totalsOf(int thread) const;
 
     /** Just the committed count — the run loop polls this for every
      *  thread every cycle, so it must not assemble all 11 counters
@@ -391,7 +371,7 @@ class ChipSimulator
     /** @{ */
     std::uint64_t epoch = 0;
     Cycle nextEpochAt = 0;
-    std::vector<CtxTotals> intervalBase; //!< totals at last epoch
+    std::vector<ThreadCounters> intervalBase; //!< totals at last epoch
     Cycle intervalStart = 0;
     bool migrating = false;
     Cycle drainDeadline = 0;

@@ -1,8 +1,8 @@
 #include "telemetry/telemetry.hh"
 
-#include <cstdio>
 #include <utility>
 
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/version.hh"
@@ -184,8 +184,9 @@ TelemetryHub::renderTimeSeries() const
     std::string out;
     out.reserve(64 * (sampleCycles.size() + 2));
 
-    out += "{\"schema\": \"smtsim-ts-v1\", \"interval\": " +
-        fmtU64(ival) + ", \"channels\": [";
+    out += "{\"schema\": \"smtsim-ts-v1\", \"interval\": ";
+    out += fmtU64(ival);
+    out += ", \"channels\": [";
     for (std::size_t i = 0; i < channels.size(); ++i) {
         if (i)
             out += ", ";
@@ -194,16 +195,18 @@ TelemetryHub::renderTimeSeries() const
             : c.kind == Kind::Rate                 ? "rate"
             : c.kind == Kind::Ratio                ? "ratio"
                                                    : "gauge";
-        out += "{\"name\": \"" + jsonEscape(c.name) +
-            "\", \"kind\": \"";
+        out += "{\"name\": \"";
+        out += jsonEscape(c.name);
+        out += "\", \"kind\": \"";
         out += kind;
         out += "\"}";
     }
     out += "]}\n";
 
     for (std::size_t s = 0; s < sampleCycles.size(); ++s) {
-        out += "{\"cycle\": " + fmtU64(sampleCycles[s]) +
-            ", \"v\": [";
+        out += "{\"cycle\": ";
+        out += fmtU64(sampleCycles[s]);
+        out += ", \"v\": [";
         for (std::size_t i = 0; i < channels.size(); ++i) {
             if (i)
                 out += ", ";
@@ -216,10 +219,15 @@ TelemetryHub::renderTimeSeries() const
         out += "]}\n";
     }
 
-    out += "{\"samples\": " + fmtU64(sampleCycles.size()) +
-        ", \"events\": " + fmtU64(events.size()) +
-        ", \"droppedSamples\": " + fmtU64(nDroppedSamples) +
-        ", \"droppedEvents\": " + fmtU64(nDroppedEvents) + "}\n";
+    out += "{\"samples\": ";
+    out += fmtU64(sampleCycles.size());
+    out += ", \"events\": ";
+    out += fmtU64(events.size());
+    out += ", \"droppedSamples\": ";
+    out += fmtU64(nDroppedSamples);
+    out += ", \"droppedEvents\": ";
+    out += fmtU64(nDroppedEvents);
+    out += "}\n";
     return out;
 }
 
@@ -237,27 +245,34 @@ TelemetryHub::renderChromeTrace(const std::string &extraEvents) const
             out += ",";
         first = false;
         out += "\n{\"name\": \"thread_name\", \"ph\": \"M\", "
-               "\"pid\": 0, \"tid\": " +
-            std::to_string(t) + ", \"args\": {\"name\": \"" +
-            jsonEscape(tracks[t]) + "\"}}";
+               "\"pid\": 0, \"tid\": ";
+        out += std::to_string(t);
+        out += ", \"args\": {\"name\": \"";
+        out += jsonEscape(tracks[t]);
+        out += "\"}}";
     }
     for (const Event &e : events) {
         if (!first)
             out += ",";
         first = false;
-        out += "\n{\"name\": \"" + jsonEscape(e.name) +
-            "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": " +
-            fmtU64(e.cycle) + ", \"pid\": 0, \"tid\": " +
-            std::to_string(e.track);
-        if (!e.args.empty())
-            out += ", \"args\": " + e.args;
+        out += "\n{\"name\": \"";
+        out += jsonEscape(e.name);
+        out += "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ";
+        out += fmtU64(e.cycle);
+        out += ", \"pid\": 0, \"tid\": ";
+        out += std::to_string(e.track);
+        if (!e.args.empty()) {
+            out += ", \"args\": ";
+            out += e.args;
+        }
         out += "}";
     }
     if (!extraEvents.empty()) {
         if (!first)
             out += ",";
         first = false;
-        out += "\n" + extraEvents;
+        out += '\n';
+        out += extraEvents;
     }
     out += "\n], \"displayTimeUnit\": \"ms\"}\n";
     return out;
@@ -284,28 +299,6 @@ telemetryFileBase(const std::string &prefix, std::size_t jobIndex)
     return prefix + ".job" + std::to_string(jobIndex);
 }
 
-namespace {
-
-bool
-writeFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        warn("cannot write %s", path.c_str());
-        return false;
-    }
-    const std::size_t n =
-        std::fwrite(text.data(), 1, text.size(), f);
-    const bool ok = n == text.size() && std::fclose(f) == 0;
-    if (n != text.size()) {
-        warn("short write to %s", path.c_str());
-        return false;
-    }
-    return ok;
-}
-
-} // anonymous namespace
-
 bool
 writeTelemetryFiles(const TelemetryHub &hub, const std::string &tsBase,
                     const std::string &traceBase,
@@ -313,11 +306,12 @@ writeTelemetryFiles(const TelemetryHub &hub, const std::string &tsBase,
 {
     bool ok = true;
     if (!tsBase.empty())
-        ok = writeFile(tsBase + ".ts.ndjson",
-                       hub.renderTimeSeries()) && ok;
+        ok = writeTextFile(tsBase + ".ts.ndjson",
+                           hub.renderTimeSeries()) && ok;
     if (!traceBase.empty())
-        ok = writeFile(traceBase + ".trace.json",
-                       hub.renderChromeTrace(hostTraceEvents)) && ok;
+        ok = writeTextFile(traceBase + ".trace.json",
+                           hub.renderChromeTrace(hostTraceEvents)) &&
+            ok;
     return ok;
 }
 

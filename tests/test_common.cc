@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit tests for the common substrate: deterministic RNG,
- * statistics helpers and table formatting.
+ * statistics helpers, table formatting and the checked file writer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "common/file_io.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 
@@ -191,6 +196,21 @@ TEST(TextTable, FmtPrecision)
 {
     EXPECT_EQ(TextTable::fmt(1.23456, 2), "1.23");
     EXPECT_EQ(TextTable::fmt(1.0, 0), "1");
+}
+
+TEST(WriteTextFile, WritesAndReportsFailure)
+{
+    const std::string path = "test_common_write_text_file.txt";
+    ASSERT_TRUE(writeTextFile(path, "one\ntwo\n"));
+    std::ifstream in(path);
+    std::stringstream got;
+    got << in.rdbuf();
+    EXPECT_EQ(got.str(), "one\ntwo\n");
+    std::remove(path.c_str());
+
+    // /dev/full opens fine and fails at the flush in fclose.
+    EXPECT_FALSE(writeTextFile("/dev/full", "lost\n"));
+    EXPECT_FALSE(writeTextFile("/nonexistent-dir/x.txt", "lost\n"));
 }
 
 } // anonymous namespace

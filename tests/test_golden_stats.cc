@@ -119,22 +119,10 @@ TEST(GoldenStats, BitDeterministicAcrossRuns)
         EXPECT_TRUE(a.mlpBusyMean == b.mlpBusyMean) << name;
         ASSERT_EQ(a.threads.size(), b.threads.size()) << name;
         for (std::size_t t = 0; t < a.threads.size(); ++t) {
-            EXPECT_EQ(a.threads[t].committed, b.threads[t].committed);
-            EXPECT_EQ(a.threads[t].fetched, b.threads[t].fetched);
-            EXPECT_EQ(a.threads[t].fetchedWrongPath,
-                      b.threads[t].fetchedWrongPath);
-            EXPECT_EQ(a.threads[t].squashed, b.threads[t].squashed);
-            EXPECT_EQ(a.threads[t].condBranches,
-                      b.threads[t].condBranches);
-            EXPECT_EQ(a.threads[t].mispredicts,
-                      b.threads[t].mispredicts);
-            EXPECT_EQ(a.threads[t].flushes, b.threads[t].flushes);
-            EXPECT_EQ(a.threads[t].l1dAccesses,
-                      b.threads[t].l1dAccesses);
-            EXPECT_EQ(a.threads[t].l1dMisses, b.threads[t].l1dMisses);
-            EXPECT_EQ(a.threads[t].l2Accesses,
-                      b.threads[t].l2Accesses);
-            EXPECT_EQ(a.threads[t].l2Misses, b.threads[t].l2Misses);
+            for (const ThreadCounterField &f : threadCounterFields) {
+                EXPECT_EQ(a.threads[t].*f.member, b.threads[t].*f.member)
+                    << name << " thread " << t << " " << f.key;
+            }
             // Doubles must be bit-identical, not merely close.
             EXPECT_TRUE(a.threads[t].ipc == b.threads[t].ipc) << name;
         }

@@ -33,6 +33,8 @@
 #include "runner/runner.hh"
 #include "runner/sweep_spec.hh"
 #include "sim/experiment.hh"
+#include "sim/metrics.hh"
+#include "sim/simulator.hh"
 
 namespace {
 
@@ -311,25 +313,21 @@ TEST(BaselineCache, FailedComputeIsRetriedNotPoisoned)
     EXPECT_EQ(cache.computeCount(), 2u);
 }
 
-TEST(BaselineCache, SharedBetweenRunnerAndExperimentContext)
+TEST(BaselineCache, SharedBetweenRunners)
 {
     auto cache = std::make_shared<BaselineCache>();
     SweepSpec spec = tinySpec();
     spec.workloads = {adHocWorkload({"gzip", "mcf"})};
     spec.policies = {PolicyKind::Icount};
 
-    SweepRunner runner(spec, 2, cache);
-    runner.run();
-    const std::uint64_t afterSweep = cache->computeCount();
-    EXPECT_EQ(afterSweep, 2u); // gzip + mcf baselines
+    SweepRunner(spec, 2, cache).run();
+    EXPECT_EQ(cache->computeCount(), 2u); // gzip + mcf baselines
 
-    // Same config and budgets: the context reuses the sweep's
-    // baselines instead of simulating them again.
-    ExperimentContext ctx(spec.base, spec.commits, spec.warmup,
-                          cache);
-    ctx.singleThreadIpc("gzip");
-    ctx.singleThreadIpc("mcf");
-    EXPECT_EQ(cache->computeCount(), afterSweep);
+    // Same config and budgets: a second runner reuses the first
+    // one's baselines instead of simulating them again.
+    spec.policies = {PolicyKind::Dcra};
+    SweepRunner(spec, 2, cache).run();
+    EXPECT_EQ(cache->computeCount(), 2u);
 }
 
 // ---------------------------------------------------------------
@@ -358,27 +356,37 @@ TEST(SweepRunner, ParallelMatchesSerialByteForByte)
               JsonSink().render(a));
 }
 
-TEST(SweepRunner, MatchesExperimentContext)
+TEST(SweepRunner, MatchesDirectSimulator)
 {
+    // The runner's summary is exactly what a hand-driven Simulator
+    // run and its single-thread ICOUNT baselines give.
     SweepSpec spec = tinySpec();
     spec.workloads = {spec.workloads[0]};
     spec.policies = {PolicyKind::Dcra};
     SweepRunner runner(spec, 2);
     const SweepResults res = runner.run();
-
-    ExperimentContext ctx(spec.base, spec.commits, spec.warmup);
-    const RunSummary expect =
-        ctx.runWorkload(spec.workloads[0], PolicyKind::Dcra);
-
     const RunSummary &got = res.results[0].summary;
-    EXPECT_EQ(got.raw.cycles, expect.raw.cycles);
-    EXPECT_EQ(got.throughput, expect.throughput);
-    EXPECT_EQ(got.hmean, expect.hmean);
-    ASSERT_EQ(got.multiIpc.size(), expect.multiIpc.size());
-    for (std::size_t i = 0; i < got.multiIpc.size(); ++i) {
-        EXPECT_EQ(got.multiIpc[i], expect.multiIpc[i]);
-        EXPECT_EQ(got.singleIpc[i], expect.singleIpc[i]);
+
+    const std::vector<std::string> &benches =
+        spec.workloads[0].benches;
+    const SimResult raw =
+        Simulator(spec.base, benches, PolicyKind::Dcra)
+            .run(spec.commits, spec.maxCycles, spec.warmup);
+    std::vector<double> multi, single;
+    for (std::size_t i = 0; i < benches.size(); ++i) {
+        multi.push_back(raw.threads[i].ipc);
+        single.push_back(
+            Simulator(spec.base, {benches[i]}, PolicyKind::Icount)
+                .run(spec.commits, spec.maxCycles, spec.warmup)
+                .threads[0]
+                .ipc);
     }
+
+    EXPECT_EQ(got.raw.cycles, raw.cycles);
+    EXPECT_EQ(got.multiIpc, multi);
+    EXPECT_EQ(got.singleIpc, single);
+    EXPECT_EQ(got.throughput, raw.throughput());
+    EXPECT_EQ(got.hmean, hmeanSpeedup(multi, single));
 }
 
 TEST(SweepRunner, CellAverageMatchesManualMean)
@@ -502,10 +510,11 @@ TEST(RunSummaryJson, RoundTripIsExact)
     for (std::size_t t = 0; t < s.raw.threads.size(); ++t) {
         EXPECT_EQ(back.raw.threads[t].bench, s.raw.threads[t].bench);
         EXPECT_EQ(back.raw.threads[t].ipc, s.raw.threads[t].ipc);
-        EXPECT_EQ(back.raw.threads[t].committed,
-                  s.raw.threads[t].committed);
-        EXPECT_EQ(back.raw.threads[t].l2Misses,
-                  s.raw.threads[t].l2Misses);
+        for (const ThreadCounterField &f : threadCounterFields) {
+            EXPECT_EQ(back.raw.threads[t].*f.member,
+                      s.raw.threads[t].*f.member)
+                << f.key;
+        }
     }
     ASSERT_EQ(back.raw.llcPerCore.size(), s.raw.llcPerCore.size());
     for (std::size_t c = 0; c < s.raw.llcPerCore.size(); ++c) {
@@ -521,6 +530,59 @@ TEST(RunSummaryJson, RoundTripIsExact)
     // the defining property: the replayed summary re-renders the
     // exact same record bytes
     EXPECT_EQ(runSummaryToJson(back), runSummaryToJson(s));
+}
+
+TEST(RunSummaryJson, ReadsRecordsInAnyKeyOrder)
+{
+    // Journals written before the counters moved behind "ipc" list
+    // "committed" first; readers look keys up, so they still resume.
+    const std::string oldOrder =
+        "{\"throughput\":0.5,\"hmean\":0.25,\"multiIpc\":[0.5],"
+        "\"singleIpc\":[2],\"cycles\":10,\"slowPhaseCycles\":[4,6],"
+        "\"mlpBusyMean\":1.5,\"threads\":[{\"bench\":\"gzip\","
+        "\"committed\":5,\"ipc\":0.5,\"fetched\":9,"
+        "\"fetchedWrongPath\":3,\"squashed\":4,\"condBranches\":2,"
+        "\"mispredicts\":1,\"flushes\":6,\"l1dAccesses\":8,"
+        "\"l1dMisses\":7,\"l2Accesses\":11,\"l2Misses\":12}],"
+        "\"coreCommitHashes\":[],\"migrations\":0,\"allocEpochs\":0,"
+        "\"llcAccesses\":0,\"llcMisses\":0,\"llcArbiter\":\"\","
+        "\"llcShareReassignments\":0,\"llcPerCore\":[]}";
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(oldOrder, doc));
+    RunSummary s;
+    ASSERT_TRUE(runSummaryFromJson(doc, s));
+
+    ThreadResult want;
+    want.bench = "gzip";
+    want.ipc = 0.5;
+    want.committed = 5;
+    want.fetched = 9;
+    want.fetchedWrongPath = 3;
+    want.squashed = 4;
+    want.condBranches = 2;
+    want.mispredicts = 1;
+    want.flushes = 6;
+    want.l1dAccesses = 8;
+    want.l1dMisses = 7;
+    want.l2Accesses = 11;
+    want.l2Misses = 12;
+    ASSERT_EQ(s.raw.threads.size(), 1u);
+    const ThreadResult &got = s.raw.threads[0];
+    EXPECT_EQ(got.bench, want.bench);
+    EXPECT_EQ(got.ipc, want.ipc);
+    for (const ThreadCounterField &f : threadCounterFields)
+        EXPECT_EQ(got.*f.member, want.*f.member) << f.key;
+    EXPECT_EQ(s.raw.cycles, 10u);
+    EXPECT_EQ(s.hmean, 0.25);
+
+    // Rewritten, the record keeps every value with "ipc" first.
+    RunSummary again;
+    ASSERT_TRUE(parseJson(runSummaryToJson(s), doc));
+    ASSERT_TRUE(runSummaryFromJson(doc, again));
+    EXPECT_EQ(runSummaryToJson(again), runSummaryToJson(s));
+    EXPECT_NE(runSummaryToJson(s).find(
+                  "{\"bench\":\"gzip\",\"ipc\":0.5,\"committed\":5,"),
+              std::string::npos);
 }
 
 TEST(Journal, WriteReadRoundTripAndTornTail)

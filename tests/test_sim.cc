@@ -1,15 +1,15 @@
 /**
  * @file
  * Unit tests for the simulation layer: workload tables (paper
- * Table 4), metrics (Hmean), experiment context caching and run
- * accounting.
+ * Table 4), metrics (Hmean), baseline caching and run accounting.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "sim/experiment.hh"
+#include "runner/baseline_cache.hh"
+#include "runner/runner.hh"
 #include "sim/metrics.hh"
 #include "sim/simulator.hh"
 #include "sim/workload.hh"
@@ -190,20 +190,25 @@ TEST(Experiment, BaselineCacheIsStable)
 {
     SimConfig cfg;
     cfg.seed = 8;
-    ExperimentContext ctx(cfg, 5000);
-    const double a = ctx.singleThreadIpc("gzip");
-    const double b = ctx.singleThreadIpc("gzip");
+    BaselineCache cache;
+    const double a = cache.ipc(cfg, "gzip", 5000, 0);
+    const double b = cache.ipc(cfg, "gzip", 5000, 0);
     EXPECT_DOUBLE_EQ(a, b);
+    EXPECT_EQ(cache.computeCount(), 1u);
     EXPECT_GT(a, 0.5);
 }
 
-TEST(Experiment, RunWorkloadFillsSummary)
+TEST(Experiment, OneJobSweepFillsSummary)
 {
-    SimConfig cfg;
-    cfg.seed = 8;
-    ExperimentContext ctx(cfg, 4000);
-    const Workload w = workloadsOf(2, WorkloadType::MIX)[0];
-    const RunSummary s = ctx.runWorkload(w, PolicyKind::Dcra);
+    SweepSpec spec;
+    spec.base.seed = 8;
+    spec.commits = 4000;
+    spec.warmup = 0;
+    spec.workloads = {workloadsOf(2, WorkloadType::MIX)[0]};
+    spec.policies = {PolicyKind::Dcra};
+    const SweepResults res = SweepRunner(spec, 1).run();
+    ASSERT_EQ(res.results.size(), 1u);
+    const RunSummary &s = res.results[0].summary;
     ASSERT_EQ(s.multiIpc.size(), 2u);
     ASSERT_EQ(s.singleIpc.size(), 2u);
     EXPECT_GT(s.throughput, 0.0);
@@ -211,37 +216,6 @@ TEST(Experiment, RunWorkloadFillsSummary)
     EXPECT_LE(s.hmean, 1.5);
     for (std::size_t i = 0; i < 2; ++i)
         EXPECT_LE(s.multiIpc[i], s.singleIpc[i] * 1.3);
-}
-
-TEST(Experiment, RunWorkloadIgnoresTheChipShape)
-{
-    // ExperimentContext is a single-core harness: a base config
-    // asking for a 2-core chip still runs (and baselines) one core.
-    SimConfig cfg;
-    cfg.seed = 8;
-    SimConfig chip = cfg;
-    chip.soc.numCores = 2;
-    chip.soc.contextsPerCore = 1;
-    const Workload w = workloadsOf(2, WorkloadType::MIX)[0];
-    const RunSummary a =
-        ExperimentContext(cfg, 3000).runWorkload(w, PolicyKind::Dcra);
-    const RunSummary b =
-        ExperimentContext(chip, 3000).runWorkload(w, PolicyKind::Dcra);
-    EXPECT_EQ(a.raw.cycles, b.raw.cycles);
-    EXPECT_TRUE(a.throughput == b.throughput); // bitwise
-    EXPECT_TRUE(a.hmean == b.hmean);
-    EXPECT_TRUE(b.raw.coreCommitHashes.empty());
-}
-
-TEST(Experiment, CellAverageAveragesFourGroups)
-{
-    SimConfig cfg;
-    cfg.seed = 8;
-    ExperimentContext ctx(cfg, 2000);
-    const auto avg =
-        ctx.runCell(2, WorkloadType::ILP, PolicyKind::Icount);
-    EXPECT_GT(avg.throughput, 0.0);
-    EXPECT_GT(avg.hmean, 0.0);
 }
 
 } // anonymous namespace

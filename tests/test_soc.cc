@@ -475,18 +475,9 @@ expectSameResult(const SimResult &a, const SimResult &b,
         const ThreadResult &x = a.threads[t];
         const ThreadResult &y = b.threads[t];
         EXPECT_EQ(x.bench, y.bench) << what;
-        EXPECT_EQ(x.committed, y.committed) << what;
         EXPECT_TRUE(x.ipc == y.ipc) << what; // bitwise
-        EXPECT_EQ(x.fetched, y.fetched) << what;
-        EXPECT_EQ(x.fetchedWrongPath, y.fetchedWrongPath) << what;
-        EXPECT_EQ(x.squashed, y.squashed) << what;
-        EXPECT_EQ(x.condBranches, y.condBranches) << what;
-        EXPECT_EQ(x.mispredicts, y.mispredicts) << what;
-        EXPECT_EQ(x.flushes, y.flushes) << what;
-        EXPECT_EQ(x.l1dAccesses, y.l1dAccesses) << what;
-        EXPECT_EQ(x.l1dMisses, y.l1dMisses) << what;
-        EXPECT_EQ(x.l2Accesses, y.l2Accesses) << what;
-        EXPECT_EQ(x.l2Misses, y.l2Misses) << what;
+        for (const ThreadCounterField &f : threadCounterFields)
+            EXPECT_EQ(x.*f.member, y.*f.member) << what << " " << f.key;
     }
     ASSERT_EQ(a.slowPhaseCycles.size(), b.slowPhaseCycles.size())
         << what;

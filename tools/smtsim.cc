@@ -50,6 +50,7 @@
 
 #include "alloc/chip_arbiters.hh"
 #include "alloc/resource_domain.hh"
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "prof/host_profiler.hh"
@@ -790,16 +791,7 @@ emitOutput(const std::string &text, const std::string &path)
         std::fputs(text.c_str(), stdout);
         return 0;
     }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                     path.c_str());
-        return 1;
-    }
-    const bool wrote = std::fputs(text.c_str(), f) >= 0;
-    // fclose flushes the buffered tail; a full disk surfaces here.
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed) {
+    if (!writeTextFile(path, text)) {
         std::fprintf(stderr, "error: failed writing '%s'\n",
                      path.c_str());
         return 1;
