@@ -152,17 +152,22 @@ struct DynInst
  * instruction outweigh any locality gain while the slab fits in
  * cache. Revisit only with pool capacities far beyond the current
  * few hundred records.
+ *
+ * The slab reserves its capacity up front but builds a slot only
+ * the first time it is handed out (slots 0, 1, 2, ... in order), so
+ * the host memory a core touches follows its peak in-flight count,
+ * a few hundred records, rather than the worst-case capacity.
+ * Reservation keeps references stable: the slab never reallocates.
  */
 class InstPool
 {
   public:
     /** @param capacity maximum simultaneous in-flight instructions. */
     explicit InstPool(std::size_t capacity)
-        : slab(capacity)
+        : cap(capacity)
     {
+        slab.reserve(capacity);
         freeList.reserve(capacity);
-        for (std::size_t i = capacity; i > 0; --i)
-            freeList.push_back(static_cast<InstHandle>(i - 1));
     }
 
     /**
@@ -176,20 +181,25 @@ class InstPool
 
     /**
      * Allocate an instruction record with all pipeline state reset.
-     * The `ti` and `snap` payload blocks are NOT cleared — they hold
-     * whatever the slot's previous occupant left, and the caller
-     * (the fetch stage, the pool's only client) must assign both
-     * before any other stage sees the record.
+     * The `ti` and `snap` payload blocks of a reused slot are NOT
+     * cleared — they hold whatever the slot's previous occupant
+     * left, and the caller (the fetch stage, the pool's only
+     * client) must assign both before any other stage sees the
+     * record.
      */
     InstHandle
     alloc()
     {
-        SMT_ASSERT(!freeList.empty(), "InstPool exhausted (cap %zu)",
-                   slab.size());
-        const InstHandle h = freeList.back();
-        freeList.pop_back();
-        slab[h].resetForFetch();
-        return h;
+        if (!freeList.empty()) {
+            const InstHandle h = freeList.back();
+            freeList.pop_back();
+            slab[h].resetForFetch();
+            return h;
+        }
+        SMT_ASSERT(slab.size() < cap, "InstPool exhausted (cap %zu)",
+                   cap);
+        slab.emplace_back();
+        return static_cast<InstHandle>(slab.size() - 1);
     }
 
     /** Return a record to the pool. */
@@ -208,10 +218,11 @@ class InstPool
     std::size_t live() const { return slab.size() - freeList.size(); }
 
     /** Capacity. */
-    std::size_t capacity() const { return slab.size(); }
+    std::size_t capacity() const { return cap; }
 
   private:
-    std::vector<DynInst> slab;
+    std::size_t cap;
+    std::vector<DynInst> slab; //!< slots built so far, in handle order
     std::vector<InstHandle> freeList;
 };
 

@@ -1097,25 +1097,20 @@ Pipeline::fetchFrom(ThreadID t, int &budget)
     while (budget > 0 &&
            static_cast<int>(ts.fetchQ.size()) < cfg.fetchQueueSize) {
         const bool fromTrace = !ts.wrongPathMode;
-        // Correct-path instructions are copied straight from the
-        // trace ring into the pool record after the I-side accepts
-        // the line (one copy, none on the break paths); wrong-path
-        // synthesis must still happen up front because the salt is
-        // consumed even when the line probe makes us retry.
-        TraceInst wpTi;
+        // Both paths write the record straight into its pool slot
+        // once the I-side accepts the line (nothing on the break
+        // paths): correct-path ones are copied from the trace ring,
+        // wrong-path ones synthesized in place. A wrong-path attempt
+        // takes its salt up front, so a line probe that makes us
+        // retry still consumes it.
         const TraceInst *src = nullptr;
+        std::uint64_t salt = 0;
         Addr pc;
         if (fromTrace) {
             src = &ts.trace->peek();
             pc = src->pc + ts.addrBase;
         } else {
-            wpTi = ts.wpSynth.inst(ts.fetchPc - ts.addrBase,
-                                   ts.wpSalt++);
-            wpTi.pc = ts.fetchPc;
-            if (isMem(wpTi.op))
-                wpTi.effAddr += ts.addrBase;
-            if (isBranch(wpTi.op))
-                wpTi.target += ts.addrBase;
+            salt = ts.wpSalt++;
             pc = ts.fetchPc;
         }
 
@@ -1141,14 +1136,14 @@ Pipeline::fetchFrom(ThreadID t, int &budget)
         if (fromTrace) {
             d.ti = *src; // the ref from the peek above is still live
             traceIdx = ts.trace->nextIndex();
-            d.ti.pc += ts.addrBase;
-            if (isMem(d.ti.op))
-                d.ti.effAddr += ts.addrBase;
-            if (isBranch(d.ti.op))
-                d.ti.target += ts.addrBase;
         } else {
-            d.ti = wpTi;
+            ts.wpSynth.fill(d.ti, pc - ts.addrBase, salt);
         }
+        d.ti.pc = pc;
+        if (isMem(d.ti.op))
+            d.ti.effAddr += ts.addrBase;
+        if (isBranch(d.ti.op))
+            d.ti.target += ts.addrBase;
         const TraceInst &ti = d.ti;
         d.seq = ++seqCounter;
         d.tid = t;

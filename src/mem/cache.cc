@@ -34,6 +34,8 @@ Cache::Cache(const CacheParams &params)
     setMask = static_cast<Addr>(sets) - 1;
     tagShift =
         lineShift + log2Exact(static_cast<std::uint64_t>(sets));
+    SMT_ASSERT(tagShift >= 1, "%s: tags must drop an address bit",
+               p.name.c_str());
     bankMask = static_cast<Addr>(p.banks) - 1;
     lines.resize(static_cast<std::size_t>(sets) * p.assoc);
     bankBusy.assign(p.banks, neverCycle);
@@ -47,7 +49,7 @@ Cache::access(Addr addr)
     const Addr tag = tagOf(addr);
     Line *base = &lines[static_cast<std::size_t>(set) * p.assoc];
     for (int w = 0; w < p.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
+        if (base[w].tag == tag) {
             base[w].lruStamp = ++stampCounter;
             return true;
         }
@@ -64,13 +66,13 @@ Cache::fillWays(Addr addr, std::uint32_t wayMask)
     Line *base = &lines[static_cast<std::size_t>(set) * p.assoc];
     Line *victim = nullptr;
     for (int w = 0; w < p.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
+        if (base[w].tag == tag) {
             base[w].lruStamp = ++stampCounter; // already present
             return set * p.assoc + w;
         }
         if (!((wayMask >> w) & 1u))
             continue; // way owned by another claimant
-        if (!base[w].valid) {
+        if (base[w].tag == emptyTag) {
             victim = &base[w];
             break;
         }
@@ -80,7 +82,6 @@ Cache::fillWays(Addr addr, std::uint32_t wayMask)
     SMT_ASSERT(victim != nullptr,
                "%s: way mask 0x%x allows none of %d ways",
                p.name.c_str(), wayMask, p.assoc);
-    victim->valid = true;
     victim->tag = tag;
     victim->lruStamp = ++stampCounter;
     return static_cast<int>(victim - base) + set * p.assoc;
@@ -93,7 +94,7 @@ Cache::probe(Addr addr) const
     const Addr tag = tagOf(addr);
     const Line *base = &lines[static_cast<std::size_t>(set) * p.assoc];
     for (int w = 0; w < p.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].tag == tag)
             return true;
     }
     return false;
@@ -106,8 +107,8 @@ Cache::invalidate(Addr addr)
     const Addr tag = tagOf(addr);
     Line *base = &lines[static_cast<std::size_t>(set) * p.assoc];
     for (int w = 0; w < p.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            base[w].valid = false;
+        if (base[w].tag == tag)
+            base[w].tag = emptyTag;
     }
 }
 

@@ -100,12 +100,17 @@ class Cache
     const CacheParams &params() const { return p; }
 
   private:
+    /** A real tag is addr >> tagShift with tagShift >= 1 (asserted
+     *  in the constructor), so it never has every bit set. */
+    static constexpr Addr emptyTag = ~Addr(0);
+
+    /** One way: 16 bytes, an empty way holds emptyTag. */
     struct Line
     {
-        Addr tag = 0;
+        Addr tag = emptyTag;
         std::uint64_t lruStamp = 0;
-        bool valid = false;
     };
+    static_assert(sizeof(Line) == 16, "a tag line is two words");
 
     /** All pow2 geometry (asserted in the constructor), so the
      *  per-access index/tag/bank math is pure shift and mask. */

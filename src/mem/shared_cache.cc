@@ -255,7 +255,8 @@ SharedCache::ownLine(int core, int slot)
     if (prev >= 0)
         --sOwned[static_cast<std::size_t>(prev)];
     ++sOwned[static_cast<std::size_t>(core)];
-    lineOwner[static_cast<std::size_t>(slot)] = core;
+    lineOwner[static_cast<std::size_t>(slot)] =
+        static_cast<std::int8_t>(core);
 }
 
 LlcResult

@@ -318,8 +318,11 @@ class SharedCache
     std::vector<int> wayCnt;            //!< ways per core (0 = none)
     /** @} */
 
-    /** Owner core of each LLC line slot (-1 = prewarm/unowned). */
-    std::vector<int> lineOwner;
+    /** Owner core of each LLC line slot (-1 = prewarm/unowned); one
+     *  byte per slot, as the LLC serves at most 32 cores. */
+    std::vector<std::int8_t> lineOwner;
+    static_assert(ResourceDomain::maxDomainClaimants <= INT8_MAX,
+                  "a core index must fit lineOwner's int8_t");
 
     std::vector<std::uint64_t> sAcc;
     std::vector<std::uint64_t> sMiss;

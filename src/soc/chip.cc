@@ -246,6 +246,17 @@ ChipSimulator::problem(const SimConfig &cfg,
                          "--list-arbiters)",
                          arb.c_str());
     }
+    // A squash rewinds a thread's trace by at most what it can hold
+    // uncommitted (see SyntheticTraceGenerator::ringCap).
+    const long long reach = static_cast<long long>(cfg.core.robSize) +
+        cfg.core.fetchQueueSize + 1;
+    if (reach > static_cast<long long>(SyntheticTraceGenerator::ringCap)) {
+        return strFormat("ROB (%d) + fetch queue (%d) + 1 exceeds the "
+                         "trace replay window of %llu instructions",
+                         cfg.core.robSize, cfg.core.fetchQueueSize,
+                         static_cast<unsigned long long>(
+                             SyntheticTraceGenerator::ringCap));
+    }
     SmtConfig core = cfg.core;
     core.numThreads = nc == 1 ? static_cast<int>(n) : ctx;
     std::string why = core.problem();

@@ -214,7 +214,7 @@ TelemetryHub::renderTimeSeries() const
             if (channels[i].kind == Kind::Counter)
                 out += fmtU64(static_cast<std::uint64_t>(v));
             else
-                out += fmtDouble(v);
+                appendDouble(out, v);
         }
         out += "]}\n";
     }

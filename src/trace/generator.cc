@@ -560,6 +560,14 @@ TraceInst
 WrongPathSynth::inst(Addr pc, std::uint64_t salt) const
 {
     TraceInst ti;
+    fill(ti, pc, salt);
+    return ti;
+}
+
+void
+WrongPathSynth::fill(TraceInst &ti, Addr pc, std::uint64_t salt) const
+{
+    ti = TraceInst{};
     ti.pc = pc;
     const std::uint64_t h = mix64(pc ^ mix64(salt));
     const std::uint32_t u20 =
@@ -604,7 +612,6 @@ WrongPathSynth::inst(Addr pc, std::uint64_t salt) const
         ti.dst = 1 + static_cast<ArchRegId>((h >> 32) %
                                             (numIntArchRegs - 1));
     }
-    return ti;
 }
 
 } // namespace smt

@@ -86,8 +86,17 @@ class SyntheticTraceGenerator : public TraceSource
     /** Profile this generator follows. */
     const BenchProfile &profile() const { return prof; }
 
+    /**
+     * Records kept for rewind. A squash rewinds to its oldest
+     * correct-path victim, which is still uncommitted, and at most
+     * one record is peeked past the youngest fetched one; so no
+     * rewind reaches back more than robSize + fetchQueueSize + 1
+     * records. ChipSimulator::problem() rejects cores whose bound
+     * exceeds this (the default 512 + 32 + 1 uses about a quarter).
+     */
+    static constexpr std::uint64_t ringCap = 2048;
+
   private:
-    static constexpr std::uint64_t ringCap = 8192;
     static constexpr int recentRegs = 32;
 
     /** Why a branch is being generated. */
@@ -227,6 +236,14 @@ class WrongPathSynth
 
     /** Same contract as wrongPathInst(pc, prof, salt). */
     TraceInst inst(Addr pc, std::uint64_t salt) const;
+
+    /**
+     * Overwrite every field of @p ti with inst(pc, salt). Fetch
+     * builds wrong-path records in their pool slot with this, so
+     * the record is written once instead of staged on the stack
+     * and copied.
+     */
+    void fill(TraceInst &ti, Addr pc, std::uint64_t salt) const;
 
   private:
     /** Exact x % d via double reciprocal plus one-step fixup;

@@ -7,13 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/file_io.hh"
+#include "common/json.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 
@@ -177,6 +182,49 @@ TEST(HarmonicMean, ZeroSampleGivesZero)
 {
     EXPECT_DOUBLE_EQ(harmonicMean({1.0, 0.0}), 0.0);
     EXPECT_DOUBLE_EQ(harmonicMean({1.0, -1.0}), 0.0);
+}
+
+/** The "%.*f" rendering appendDouble() must reproduce. */
+std::string
+printfFixed(double v, int prec)
+{
+    char buf[512];
+    // smtlint:allow(D2): the reference formatter under test
+    std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
+    return buf;
+}
+
+TEST(JsonFormat, AppendDoubleMatchesPrintf)
+{
+    std::vector<double> vals = {
+        0.0, -0.0, 1.0, -1.0, 0.5, 1.5, 2.5, -2.5, 0.125, 0.375,
+        1.0000005, 2.0000005, 999999.5, 0.0000005, 1e-7, 1e300,
+        -1e300, 5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, 123456789.987654321,
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()};
+    Rng rng(2024);
+    for (int i = 0; i < 20000; ++i) {
+        // Arbitrary bit patterns (every exponent, NaN payloads) and
+        // values of the magnitudes the sinks actually print.
+        const std::uint64_t bits = rng.next();
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        vals.push_back(d);
+        vals.push_back((rng.uniform() - 0.5) *
+                       std::pow(10.0, static_cast<double>(i % 13 - 4)));
+    }
+    for (const double v : vals) {
+        for (const int prec : {0, 1, 2, 3, 4, 6, 9, 17}) {
+            std::string got = "x";
+            appendDouble(got, v, prec);
+            ASSERT_EQ(got, "x" + printfFixed(v, prec))
+                << "prec " << prec;
+        }
+        ASSERT_EQ(fmtDouble(v), printfFixed(v, 6));
+    }
 }
 
 TEST(TextTable, AlignsColumns)

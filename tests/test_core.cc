@@ -13,6 +13,7 @@
 #include "core/rob.hh"
 #include "core/smt_config.hh"
 #include "sim/simulator.hh"
+#include "support/dies_with_abort.hh"
 
 namespace {
 
@@ -197,6 +198,61 @@ TEST(InstPool, AllocFreeReuse)
     EXPECT_EQ(pool[c].pdst, invalidPhysReg);
 }
 
+TEST(InstPool, BuildsSlotsInHandleOrderOnFirstUse)
+{
+    InstPool pool(3);
+    EXPECT_EQ(pool.capacity(), 3u);
+    EXPECT_EQ(pool.live(), 0u);
+    // An empty free list hands out fresh slots 0, 1, 2, each in the
+    // default (fully reset) state.
+    for (InstHandle want = 0; want < 3; ++want) {
+        const InstHandle h = pool.alloc();
+        EXPECT_EQ(h, want);
+        EXPECT_EQ(pool[h].seq, 0u);
+        EXPECT_EQ(pool[h].pdst, invalidPhysReg);
+        EXPECT_EQ(pool[h].waitPrev[1], invalidWaitLink);
+        EXPECT_EQ(pool.live(), static_cast<std::size_t>(want) + 1);
+    }
+    EXPECT_EQ(pool.capacity(), 3u);
+
+    // Freed slots come back LIFO, before any unbuilt one would.
+    pool.free(0);
+    pool.free(2);
+    EXPECT_EQ(pool.live(), 1u);
+    EXPECT_EQ(pool.alloc(), 2u);
+    EXPECT_EQ(pool.alloc(), 0u);
+    EXPECT_EQ(pool.live(), 3u);
+}
+
+TEST(InstPool, ReferencesSurviveLaterAllocations)
+{
+    // The slab is reserved up front, so building a slot never moves
+    // the records already handed out.
+    InstPool pool(64);
+    const InstHandle first = pool.alloc();
+    DynInst *const at = &pool[first];
+    for (int i = 1; i < 64; ++i)
+        (void)pool.alloc();
+    EXPECT_EQ(&pool[first], at);
+}
+
+TEST(InstPool, ExhaustionAsserts)
+{
+    EXPECT_TRUE(diesWithAbort([] {
+        InstPool pool(2);
+        (void)pool.alloc();
+        (void)pool.alloc();
+        (void)pool.alloc();
+    }));
+    // Reuse after a free is not exhaustion.
+    EXPECT_FALSE(diesWithAbort([] {
+        InstPool pool(2);
+        (void)pool.alloc();
+        pool.free(pool.alloc());
+        (void)pool.alloc();
+    }));
+}
+
 // ---------------- pipeline-level behaviour ----------------
 
 SimConfig
@@ -236,6 +292,25 @@ TEST(Pipeline, DeterministicRuns)
         EXPECT_EQ(ra.threads[i].fetched, rb.threads[i].fetched);
         EXPECT_EQ(ra.threads[i].l1dMisses, rb.threads[i].l1dMisses);
     }
+}
+
+TEST(Pipeline, FlushRewindsFitTheTraceRingAtTheRobBound)
+{
+    // The largest ROB problem() accepts, with queues and registers
+    // big enough to fill it behind a chased miss: FLUSH then rewinds
+    // a thread by up to ~1660 records on this mix, more than half
+    // the generator's replay window, and must stay inside it.
+    SimConfig cfg = smallConfig();
+    cfg.core.robSize = 2015;
+    cfg.core.physRegsPerFile = 2200;
+    for (int q = 0; q < numQueueClasses; ++q)
+        cfg.core.iqSize[q] = 1024;
+    ASSERT_EQ(Simulator::problem(cfg, {"mcf", "art"}), "");
+    Simulator sim(cfg, {"mcf", "art"}, PolicyKind::Flush);
+    const SimResult r = sim.run(4000, 2'000'000);
+    for (const auto &t : r.threads)
+        EXPECT_GT(t.committed, 0u) << t.bench;
+    EXPECT_GT(r.threads[0].flushes, 0u);
 }
 
 TEST(Pipeline, MispredictsAreDetectedAndRecovered)

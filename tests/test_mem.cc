@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "mem/mshr.hh"
+#include "mem/shared_cache.hh"
 #include "mem/tlb.hh"
+#include "support/dies_with_abort.hh"
 
 namespace {
 
@@ -94,6 +98,106 @@ TEST(Cache, BankConflictsWithinCycle)
     EXPECT_FALSE(c.reserveBank(0x0000, 10)); // same bank, same cycle
     EXPECT_TRUE(c.reserveBank(0x0040, 10));  // other bank
     EXPECT_TRUE(c.reserveBank(0x0000, 11));  // next cycle
+}
+
+TEST(Cache, EmptyCacheHitsNothing)
+{
+    // An empty way is marked by its tag, not a flag: no address, 0
+    // and the top line of the address space included, may match it.
+    Cache c(tinyCache());
+    for (const Addr a : {Addr(0), Addr(0x40), ~Addr(0), ~Addr(0) - 64,
+                         Addr(1) << 63})
+        EXPECT_FALSE(c.probe(a)) << a;
+    EXPECT_FALSE(c.access(0));
+    EXPECT_EQ(c.misses(), 1u);
+}
+
+TEST(Cache, HighTagsFillProbeAndInvalidate)
+{
+    // Tags with the top bits set, up to the last line below 2^64:
+    // every one fills, hits and invalidates like a low address.
+    Cache c(tinyCache()); // 8 sets x 2 ways
+    const Addr setStride = 8 * 64;
+    const Addr top = ~Addr(0) & ~Addr(63); // last line of the space
+    const Addr high = (Addr(1) << 63) | 0x1000;
+    for (const Addr a : {top, high, Addr(0xffff'ffff'0000'0000)}) {
+        EXPECT_FALSE(c.access(a));
+        c.fill(a);
+        EXPECT_TRUE(c.access(a + 63)) << a;
+        EXPECT_TRUE(c.probe(a));
+        c.invalidate(a);
+        EXPECT_FALSE(c.probe(a)) << a;
+    }
+    // Two high lines in one set occupy both ways; a third evicts
+    // the LRU one.
+    const Addr a = top - setStride, b = top - 2 * setStride;
+    c.fill(a);
+    c.fill(b);
+    EXPECT_TRUE(c.access(a)); // b is now LRU
+    c.fill(top);
+    EXPECT_TRUE(c.probe(a));
+    EXPECT_FALSE(c.probe(b));
+    EXPECT_TRUE(c.probe(top));
+}
+
+TEST(Cache, FillPrefersAnInvalidatedWay)
+{
+    Cache c(tinyCache());
+    const Addr setStride = 8 * 64;
+    c.fill(0x0000);
+    c.fill(setStride); // set full; 0x0000 is LRU
+    c.invalidate(setStride);
+    c.fill(2 * setStride); // takes the emptied way, not the LRU one
+    EXPECT_TRUE(c.probe(0x0000));
+    EXPECT_FALSE(c.probe(setStride));
+    EXPECT_TRUE(c.probe(2 * setStride));
+    // Invalidating an absent line changes nothing.
+    c.invalidate(3 * setStride);
+    EXPECT_TRUE(c.probe(0x0000));
+    EXPECT_TRUE(c.probe(2 * setStride));
+}
+
+TEST(Cache, GeometryWithoutTagShiftIsRejected)
+{
+    // One set of one-byte lines would make the tag the whole address,
+    // so the all-ones address could not be told from an empty way.
+    CacheParams p;
+    p.name = "no-shift";
+    p.size = 2;
+    p.assoc = 2;
+    p.lineSize = 1;
+    p.banks = 1;
+    EXPECT_TRUE(diesWithAbort([&p] { Cache c(p); }));
+    p.size = 4;
+    p.lineSize = 2; // one bit of shift is enough
+    EXPECT_FALSE(diesWithAbort([&p] {
+        Cache c(p);
+        c.fill(~Addr(0));
+        if (!c.probe(~Addr(0)))
+            std::abort();
+    }));
+}
+
+TEST(SharedCache, LineOwnersRoundTripForThirtyTwoCores)
+{
+    // One 32-way set: core c's miss fills way c, so every core id
+    // 0..31 is stored as a line owner. Core 5 then misses 32 new
+    // lines, evicting all of them: each previous owner must be read
+    // back exactly to move its count to core 5.
+    SharedCacheParams p;
+    p.tags = CacheParams{"llc", 32 * 64, 32, 64, 1};
+    SharedCache llc(p, 32);
+    Cycle now = 1;
+    for (int c = 0; c < 32; ++c) {
+        EXPECT_FALSE(llc.access(c, static_cast<Addr>(c) * 64, now++).hit);
+        EXPECT_EQ(llc.linesOwned(c), 1u) << c;
+    }
+    llc.auditInvariants();
+    for (int i = 0; i < 32; ++i)
+        (void)llc.access(5, static_cast<Addr>(32 + i) * 64, now += 400);
+    for (int c = 0; c < 32; ++c)
+        EXPECT_EQ(llc.linesOwned(c), c == 5 ? 32u : 0u) << c;
+    llc.auditInvariants();
 }
 
 TEST(Cache, MissRate)

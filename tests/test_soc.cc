@@ -41,6 +41,7 @@
 #include "soc/allocator.hh"
 #include "soc/chip.hh"
 #include "soc/tick_wavefront.hh"
+#include "support/dies_with_abort.hh"
 
 namespace {
 
@@ -335,32 +336,6 @@ class ZeroShareArbiter : public ResourceArbiter
   private:
     int kind;
 };
-
-/**
- * Run @p fn in a forked child (stderr silenced) and report whether
- * it died with SIGABRT — the gtest shim has no death-test support,
- * so panics are observed through the child's exit status.
- */
-template <typename Fn>
-bool
-diesWithAbort(Fn fn)
-{
-    std::fflush(nullptr);
-    const pid_t pid = fork();
-    if (pid == 0) {
-        // smtlint:allow(D4): redirecting the forked child's stderr, not writing to it
-        if (!std::freopen("/dev/null", "w", stderr))
-            _exit(97);
-        fn();
-        _exit(0); // survived: the assertion did not fire
-    }
-    if (pid < 0)
-        return false;
-    int status = 0;
-    if (waitpid(pid, &status, 0) != pid)
-        return false;
-    return WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT;
-}
 
 TEST(SharedCache, NonPositiveArbiterSharesAreFatal)
 {
@@ -807,8 +782,20 @@ problemRows()
              c.soc.llcWays = 2;
          },
          two, ""},
+        {"ROB at the trace replay bound",
+         [](SimConfig &c) { c.core.robSize = 2015; }, two, ""},
         {"no cores", [](SimConfig &c) { c.soc.numCores = 0; }, two,
          "at least one core"},
+        {"ROB past the trace replay bound",
+         [](SimConfig &c) { c.core.robSize = 2016; }, two,
+         "ROB (2016) + fetch queue (32) + 1 exceeds the trace replay "
+         "window of 2048"},
+        {"fetch queue past the trace replay bound",
+         [](SimConfig &c) {
+             twoByTwo(c);
+             c.core.fetchQueueSize = 1536;
+         },
+         two, "trace replay window"},
         {"no contexts",
          [](SimConfig &c) {
              twoByTwo(c);

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <vector>
 
+#include "support/dies_with_abort.hh"
 #include "trace/bench_profile.hh"
 #include "trace/generator.hh"
 
@@ -114,6 +116,22 @@ TEST(Generator, RewindWindowIsLargeEnoughForRob)
     SyntheticTraceGenerator g(benchProfile("gzip"), 3);
     // Must cover ROB (512) + front-end buffering with margin.
     EXPECT_GE(g.replayWindow(), 2048u);
+}
+
+TEST(Generator, RewindReachesExactlyTheReplayWindow)
+{
+    // The ring holds replayWindow() records: the oldest of them can
+    // be replayed, one further back cannot.
+    SyntheticTraceGenerator g(benchProfile("art"), 11);
+    const std::uint64_t window = g.replayWindow();
+    take(g, 300);
+    const std::uint64_t mark = g.nextIndex();
+    const auto first = take(g, static_cast<int>(window));
+    g.rewindTo(mark);
+    const auto second = take(g, static_cast<int>(window));
+    for (std::size_t i = 0; i < first.size(); ++i)
+        ASSERT_TRUE(sameInst(first[i], second[i])) << "at " << i;
+    EXPECT_TRUE(diesWithAbort([&g, mark] { g.rewindTo(mark - 1); }));
 }
 
 TEST(Generator, IndexAdvancesByOnePerConsume)
@@ -351,6 +369,33 @@ TEST(WrongPath, SaltChangesOutcome)
             ++same;
     }
     EXPECT_LT(same, 50);
+}
+
+TEST(WrongPath, SynthFillMatchesTheReference)
+{
+    // Fetch synthesizes wrong-path records in place with fill(); it
+    // must overwrite every field of whatever the slot held and agree
+    // with inst() and wrongPathInst() on every (pc, salt).
+    for (const char *bench : {"gzip", "mcf", "gcc", "art", "swim"}) {
+        const BenchProfile &p = benchProfile(bench);
+        WrongPathSynth synth;
+        synth.init(p);
+        for (std::uint64_t s = 0; s < 20000; ++s) {
+            const Addr pc = layout::codeBase + 4 * ((s * 7919) % 50000);
+            const std::uint64_t salt = s * 0x9e3779b97f4a7c15ull;
+            const TraceInst ref = wrongPathInst(pc, p, salt);
+            TraceInst got;
+            std::memset(static_cast<void *>(&got), 0xa5, sizeof(got));
+            synth.fill(got, pc, salt);
+            const TraceInst viaInst = synth.inst(pc, salt);
+            for (const TraceInst &t : {got, viaInst}) {
+                ASSERT_TRUE(sameInst(t, ref)) << bench << " at " << s;
+                ASSERT_EQ(t.isCall, ref.isCall);
+                ASSERT_EQ(t.isReturn, ref.isReturn);
+                ASSERT_EQ(t.isCond, ref.isCond);
+            }
+        }
+    }
 }
 
 TEST(WrongPath, LoadsStayInHotRegions)
