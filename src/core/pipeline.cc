@@ -26,8 +26,7 @@ validated(const SmtConfig &cfg)
 } // anonymous namespace
 
 Pipeline::Pipeline(const SmtConfig &cfg_, MemorySystem &mem_,
-                   BranchPredictor &bpred_, Policy &policy_,
-                   std::vector<ThreadProgram> programs)
+                   BranchPredictor &bpred_, Policy &policy_)
     : cfg(validated(cfg_)),
       mem(mem_),
       bpred(bpred_),
@@ -40,10 +39,6 @@ Pipeline::Pipeline(const SmtConfig &cfg_, MemorySystem &mem_,
       wakeup(cfg.physRegsPerFile),
       wheel(initialWheelSize)
 {
-    SMT_ASSERT(static_cast<int>(programs.size()) == cfg.numThreads,
-               "got %zu programs for %d threads", programs.size(),
-               cfg.numThreads);
-
     for (int q = 0; q < numQueueClasses; ++q) {
         iqs.emplace_back(cfg.iqSize[q]);
         readyLists[q].v.reserve(
@@ -57,19 +52,6 @@ Pipeline::Pipeline(const SmtConfig &cfg_, MemorySystem &mem_,
         ts.fetchQ.init(static_cast<std::size_t>(cfg.fetchQueueSize));
         ts.storeList.init(static_cast<std::size_t>(cfg.robSize));
         ts.storeSet.init(static_cast<std::size_t>(cfg.robSize));
-        if (!programs[t].trace) {
-            // Idle context: no software thread yet; the chip layer
-            // may attachThread() one later.
-            continue;
-        }
-        SMT_ASSERT(programs[t].profile, "thread %d has no profile", t);
-        ts.trace = programs[t].trace;
-        ts.prof = programs[t].profile;
-        ts.wpSynth.init(*ts.prof);
-        ts.addrBase = programs[t].addrBase != ~0ull
-            ? programs[t].addrBase
-            : static_cast<Addr>(t) * threadAddrStride;
-        ts.fetchPc = ts.trace->peek().pc + ts.addrBase;
     }
 
     policy.bind({&cfg, &rtracker, &mem});
@@ -1231,7 +1213,6 @@ Pipeline::detachThread(ThreadID t)
                "detach left in-flight state behind");
 
     ts.trace = nullptr;
-    ts.prof = nullptr;
     ts.wrongPathMode = false;
     ts.draining = false;
     ts.fetchResumeCycle = 0;
@@ -1240,21 +1221,18 @@ Pipeline::detachThread(ThreadID t)
 }
 
 void
-Pipeline::attachThread(ThreadID t, const ThreadProgram &prog)
+Pipeline::attachThread(ThreadID t, SyntheticTraceGenerator &gen,
+                       Addr addrBase)
 {
     SMT_ASSERT(t >= 0 && t < cfg.numThreads, "bad attach tid %d", t);
     ThreadState &ts = threads[t];
     SMT_ASSERT(!ts.trace, "attach to an occupied context");
-    SMT_ASSERT(prog.trace && prog.profile, "attach of an empty program");
-    SMT_ASSERT(prog.addrBase != ~0ull,
-               "attach needs the software thread's address base");
     SMT_ASSERT(robBuf.empty(t) && ts.fetchQ.empty(),
                "attach to a context with in-flight state");
 
-    ts.trace = prog.trace;
-    ts.prof = prog.profile;
-    ts.wpSynth.init(*ts.prof);
-    ts.addrBase = prog.addrBase;
+    ts.trace = &gen;
+    ts.wpSynth.init(gen.profile());
+    ts.addrBase = addrBase;
     ts.fetchPc = ts.trace->peek().pc + ts.addrBase;
     ts.wrongPathMode = false;
     ts.draining = false;

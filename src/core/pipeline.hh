@@ -81,33 +81,17 @@ struct PipelineStats
 class Pipeline
 {
   public:
-    /** What one hardware context executes. A null trace marks an
-     *  idle context (no software thread attached); the chip layer
-     *  populates it later via attachThread(). */
-    struct ThreadProgram
-    {
-        TraceSource *trace = nullptr;
-        const BenchProfile *profile = nullptr;
-        /**
-         * Base of the program's address region. The sentinel means
-         * "context id x threadAddrStride" (the single-core layout);
-         * the chip layer passes the software thread's own base so a
-         * program keeps its addresses when it migrates between
-         * cores (the shared LLC is indexed by address).
-         */
-        Addr addrBase = ~0ull;
-    };
-
     /**
+     * Every hardware context starts idle; attachThread() binds a
+     * software thread to one.
+     *
      * @param cfg core configuration (validated here).
      * @param mem shared memory hierarchy (numThreads must match).
      * @param bpred shared branch unit.
      * @param policy fetch/allocation policy (bound here).
-     * @param programs one entry per hardware context.
      */
     Pipeline(const SmtConfig &cfg, MemorySystem &mem,
-             BranchPredictor &bpred, Policy &policy,
-             std::vector<ThreadProgram> programs);
+             BranchPredictor &bpred, Policy &policy);
 
     /** Advance one cycle. */
     void tick();
@@ -169,21 +153,14 @@ class Pipeline
     /** Hardware usage counters (also what policies see). */
     const ResourceTracker &tracker() const { return rtracker; }
 
-    /** DCRA-style phase test: does t have a pending L1D load miss? */
-    bool
-    threadSlow(ThreadID t) const
-    {
-        return mem.pendingL1DLoads(t) > 0;
-    }
-
     /** @name Thread-migration hooks (chip layer)
      * The drain-squash-migrate handoff: beginDrain() stops fetch for
      * a context while its in-flight instructions keep committing;
      * once drainComplete() (or on a drain timeout) detachThread()
      * squashes any leftovers, rewinds the trace to the architectural
-     * point and frees the context; attachThread() later binds a
-     * program (usually on another core's pipeline) to an idle
-     * context. All four are deterministic.
+     * point and frees the context; attachThread() binds a thread
+     * to an idle context, both at initial placement and on the
+     * thread's new core. All four are deterministic.
      */
     /** @{ */
     /** Does this context have a software thread attached? */
@@ -191,9 +168,6 @@ class Pipeline
     {
         return threads[t].trace != nullptr;
     }
-
-    /** Is this context draining (fetch stopped for migration)? */
-    bool draining(ThreadID t) const { return threads[t].draining; }
 
     /** Stop fetching for t; in-flight instructions keep going. */
     void beginDrain(ThreadID t);
@@ -209,15 +183,20 @@ class Pipeline
      * Detach the software thread from a draining context: squash
      * anything still in flight, rewind the trace so its next
      * instruction is the architecturally next one, and mark the
-     * context idle. The caller re-attaches the same TraceSource
+     * context idle. The caller re-attaches the same generator
      * elsewhere. Outstanding MSHR entries tagged with this context
      * simply retire by time (documented modeling artifact).
      */
     void detachThread(ThreadID t);
 
-    /** Bind a program to an idle context; fetch resumes next cycle.
-     *  prog.addrBase must be the software thread's own base. */
-    void attachThread(ThreadID t, const ThreadProgram &prog);
+    /**
+     * Bind a software thread's stream to an idle context; it first
+     * fetches next cycle. @p addrBase is the thread's own address
+     * region base, so it keeps its addresses when it migrates (the
+     * shared LLC is indexed by address).
+     */
+    void attachThread(ThreadID t, SyntheticTraceGenerator &gen,
+                      Addr addrBase);
     /** @} */
 
     /** @name Introspection for tests */
@@ -231,36 +210,14 @@ class Pipeline
     int numThreads() const { return cfg.numThreads; }
     const SmtConfig &config() const { return cfg; }
 
-    /** First cycle thread t may fetch again (I-miss / redirect). */
-    Cycle fetchBlockedUntil(ThreadID t) const
-    {
-        return threads[t].fetchResumeCycle;
-    }
-
-    /** Occupancy of thread t's fetch buffer. */
-    int fetchQSize(ThreadID t) const
-    {
-        return static_cast<int>(threads[t].fetchQ.size());
-    }
-
-    /** Is thread t currently fetching down a wrong path? */
-    bool onWrongPath(ThreadID t) const
-    {
-        return threads[t].wrongPathMode;
-    }
-
     /** Instructions on one queue's ready list (wakeup tests). */
     int readyCount(QueueClass qc) const;
-
-    /** The per-register consumer lists (wakeup tests). */
-    const WakeupTable &wakeupTable() const { return wakeup; }
     /** @} */
 
   private:
     struct ThreadState
     {
-        TraceSource *trace = nullptr;
-        const BenchProfile *prof = nullptr;
+        SyntheticTraceGenerator *trace = nullptr;
         /** Profile-precomputed wrong-path synthesis (hot path). */
         WrongPathSynth wpSynth;
         Addr addrBase = 0;

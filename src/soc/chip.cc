@@ -156,21 +156,14 @@ ChipSimulator::buildChip(const SimConfig &cfg, PolicyKind policyKind,
                     cfg.seed + 7919ull * static_cast<std::uint64_t>(s));
             }
         }
-
-        std::vector<Pipeline::ThreadProgram> programs(
-            static_cast<std::size_t>(nCtx));
-        for (int s = 0; s < nThreads; ++s) {
-            if (coreOf[s] != c)
-                continue;
-            Pipeline::ThreadProgram &prog = programs[ctxOf[s]];
-            prog.trace = gens[s].get();
-            prog.profile = &gens[s]->profile();
-            prog.addrBase =
-                static_cast<Addr>(s) * threadAddrStride;
-        }
         core.pipe = std::make_unique<Pipeline>(
-            coreCfg, *core.mem, *core.bpred, *core.pol,
-            std::move(programs));
+            coreCfg, *core.mem, *core.bpred, *core.pol);
+        for (int s = 0; s < nThreads; ++s) {
+            if (coreOf[s] == c)
+                core.pipe->attachThread(
+                    ctxOf[s], *gens[s],
+                    static_cast<Addr>(s) * threadAddrStride);
+        }
     }
 
     homes.resize(static_cast<std::size_t>(nThreads));
@@ -913,11 +906,8 @@ ChipSimulator::completeMigration()
                              ", \"to\": " + std::to_string(c) + "}");
         }
 
-        Pipeline::ThreadProgram prog;
-        prog.trace = gens[s].get();
-        prog.profile = &gens[s]->profile();
-        prog.addrBase = static_cast<Addr>(s) * threadAddrStride;
-        cores[c].pipe->attachThread(ctx, prog);
+        cores[c].pipe->attachThread(
+            ctx, *gens[s], static_cast<Addr>(s) * threadAddrStride);
 
         coreOf[s] = c;
         ctxOf[s] = ctx;

@@ -556,14 +556,6 @@ WrongPathSynth::init(const BenchProfile &prof)
     nearBase = layout::nearBase;
 }
 
-TraceInst
-WrongPathSynth::inst(Addr pc, std::uint64_t salt) const
-{
-    TraceInst ti;
-    fill(ti, pc, salt);
-    return ti;
-}
-
 void
 WrongPathSynth::fill(TraceInst &ti, Addr pc, std::uint64_t salt) const
 {

@@ -4,7 +4,7 @@
  *
  * A SyntheticTraceGenerator turns a BenchProfile into an endless,
  * reproducible correct-path instruction stream. The stream supports
- * bounded rewind (replayWindow() instructions back) because the FLUSH
+ * bounded rewind (ringCap instructions back) because the FLUSH
  * policy squashes committed-path instructions that must then be
  * fetched again, and keeps no heap state per instruction.
  */
@@ -23,34 +23,6 @@
 namespace smt {
 
 /**
- * Abstract correct-path instruction source for one thread. Users of
- * the library can implement this to feed real traces to the core.
- */
-class TraceSource
-{
-  public:
-    virtual ~TraceSource() = default;
-
-    /** Next not-yet-consumed correct-path instruction. */
-    virtual const TraceInst &peek() = 0;
-
-    /** Advance past the instruction peek() returned. */
-    virtual void consume() = 0;
-
-    /** Trace index of the instruction peek() returns. */
-    virtual std::uint64_t nextIndex() const = 0;
-
-    /**
-     * Re-position so nextIndex() == idx; idx must lie within
-     * replayWindow() of the furthest point ever reached.
-     */
-    virtual void rewindTo(std::uint64_t idx) = 0;
-
-    /** How far back rewindTo() may go. */
-    virtual std::uint64_t replayWindow() const = 0;
-};
-
-/**
  * Region base addresses used by generated code/data streams. The
  * low-order offsets stagger the regions across cache sets so a
  * thread's own regions do not all start at set 0.
@@ -67,7 +39,7 @@ constexpr Addr streamBase = 0x8000c3c0ull;
  * Endless synthetic instruction stream for one benchmark profile.
  * Equal (profile, seed) pairs produce identical streams.
  */
-class SyntheticTraceGenerator : public TraceSource
+class SyntheticTraceGenerator
 {
   public:
     /**
@@ -77,22 +49,32 @@ class SyntheticTraceGenerator : public TraceSource
     SyntheticTraceGenerator(const BenchProfile &profile,
                             std::uint64_t seed);
 
-    const TraceInst &peek() override;
-    void consume() override;
-    std::uint64_t nextIndex() const override { return readIdx; }
-    void rewindTo(std::uint64_t idx) override;
-    std::uint64_t replayWindow() const override { return ringCap; }
+    /** Next not-yet-consumed correct-path instruction. */
+    const TraceInst &peek();
+
+    /** Advance past the instruction peek() returned. */
+    void consume();
+
+    /** Trace index of the instruction peek() returns. */
+    std::uint64_t nextIndex() const { return readIdx; }
+
+    /**
+     * Re-position so nextIndex() == idx; idx must lie within
+     * ringCap of the furthest point ever reached.
+     */
+    void rewindTo(std::uint64_t idx);
 
     /** Profile this generator follows. */
     const BenchProfile &profile() const { return prof; }
 
     /**
-     * Records kept for rewind. A squash rewinds to its oldest
-     * correct-path victim, which is still uncommitted, and at most
-     * one record is peeked past the youngest fetched one; so no
-     * rewind reaches back more than robSize + fetchQueueSize + 1
-     * records. ChipSimulator::problem() rejects cores whose bound
-     * exceeds this (the default 512 + 32 + 1 uses about a quarter).
+     * Records kept for rewind: how far back rewindTo() may go. A
+     * squash rewinds to its oldest correct-path victim, which is
+     * still uncommitted, and at most one record is peeked past the
+     * youngest fetched one; so no rewind reaches back more than
+     * robSize + fetchQueueSize + 1 records. ChipSimulator::problem()
+     * rejects cores whose bound exceeds this (the default
+     * 512 + 32 + 1 uses about a quarter).
      */
     static constexpr std::uint64_t ringCap = 2048;
 
@@ -223,7 +205,7 @@ class SyntheticTraceGenerator : public TraceSource
  * probability thresholds become integer compares and the two
  * region moduli become reciprocal-multiply divisions (exact — the
  * one-step fixup corrects the at-most-one-off quotient), so per
- * instruction nothing is derived from the profile anymore. inst()
+ * instruction nothing is derived from the profile anymore. fill()
  * is bit-identical to wrongPathInst() for every (pc, salt).
  */
 class WrongPathSynth
@@ -231,17 +213,14 @@ class WrongPathSynth
   public:
     WrongPathSynth() = default;
 
-    /** Precompute from a profile; must be called before inst(). */
+    /** Precompute from a profile; must be called before fill(). */
     void init(const BenchProfile &prof);
 
-    /** Same contract as wrongPathInst(pc, prof, salt). */
-    TraceInst inst(Addr pc, std::uint64_t salt) const;
-
     /**
-     * Overwrite every field of @p ti with inst(pc, salt). Fetch
-     * builds wrong-path records in their pool slot with this, so
-     * the record is written once instead of staged on the stack
-     * and copied.
+     * Overwrite every field of @p ti with wrongPathInst(pc, prof,
+     * salt). Fetch builds wrong-path records in their pool slot
+     * with this, so the record is written once instead of staged
+     * on the stack and copied.
      */
     void fill(TraceInst &ti, Addr pc, std::uint64_t salt) const;
 

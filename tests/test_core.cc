@@ -2,18 +2,26 @@
  * @file
  * Unit tests for core building blocks (register files, ROB, issue
  * queue, instruction pool, config) and pipeline-level behaviour
- * driven through the Simulator.
+ * driven through the Simulator or a bare Pipeline.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "bpred/predictor.hh"
 #include "core/dyn_inst.hh"
 #include "core/issue_queue.hh"
+#include "core/pipeline.hh"
 #include "core/regfile.hh"
 #include "core/rob.hh"
 #include "core/smt_config.hh"
+#include "mem/memory_system.hh"
+#include "policy/factory.hh"
 #include "sim/simulator.hh"
 #include "support/dies_with_abort.hh"
+#include "trace/bench_profile.hh"
+#include "trace/generator.hh"
 
 namespace {
 
@@ -409,6 +417,103 @@ TEST(Pipeline, LongMemoryLatencyGrowsTheCompletionWheel)
                 r.threads[1].committed >= 2000u);
     EXPECT_LT(r.cycles, 5'000'000u);
     sim.auditInvariants();
+}
+
+// ---------------- binding a thread to a context ----------------
+
+SmtConfig
+twoContexts(SmtConfig c)
+{
+    c.numThreads = 2;
+    return c;
+}
+
+/** The parts a chip builds for one 2-context core, no thread on it. */
+struct BareCore
+{
+    SimConfig cfg = smallConfig();
+    MemorySystem mem{cfg.mem, 2};
+    BranchPredictor bpred{cfg.bpred, 2};
+    std::unique_ptr<Policy> pol =
+        makePolicy(PolicyKind::Icount, cfg.policy);
+    Pipeline pipe{twoContexts(cfg.core), mem, bpred, *pol};
+};
+
+TEST(Pipeline, ContextsStartIdleAndAttachBindsOne)
+{
+    BareCore core;
+    Pipeline &pipe = core.pipe;
+    for (int i = 0; i < 5; ++i)
+        pipe.tick();
+    for (ThreadID t = 0; t < 2; ++t) {
+        EXPECT_FALSE(pipe.contextActive(t));
+        EXPECT_EQ(pipe.stats().fetched[t], 0u);
+    }
+    pipe.auditInvariants();
+
+    // The thread's first line is resident, so nothing but the
+    // attach itself can hold its first fetch back.
+    SyntheticTraceGenerator gen(benchProfile("gzip"), 5);
+    const Addr base = threadAddrStride;
+    const Addr pc = gen.peek().pc + base;
+    core.mem.l1i().fill(pc);
+    core.mem.itlb(1).access(pc);
+
+    pipe.attachThread(1, gen, base);
+    EXPECT_FALSE(pipe.contextActive(0));
+    EXPECT_TRUE(pipe.contextActive(1));
+    pipe.auditInvariants();
+
+    pipe.tick();
+    EXPECT_GT(pipe.stats().fetched[1], 0u);
+    EXPECT_EQ(pipe.stats().fetched[0], 0u);
+    EXPECT_GT(gen.nextIndex(), 0u);
+
+    for (int i = 0; i < 3000; ++i)
+        pipe.tick();
+    EXPECT_GT(pipe.stats().committed[1], 0u);
+    EXPECT_EQ(pipe.stats().fetched[0], 0u);
+    pipe.auditInvariants();
+}
+
+TEST(Pipeline, AttachAndDetachGuardTheirContext)
+{
+    EXPECT_TRUE(diesWithAbort([] {
+        BareCore core;
+        SyntheticTraceGenerator a(benchProfile("gzip"), 1);
+        SyntheticTraceGenerator b(benchProfile("mcf"), 2);
+        core.pipe.attachThread(0, a, 0);
+        core.pipe.attachThread(0, b, threadAddrStride);
+    }));
+    EXPECT_TRUE(diesWithAbort([] {
+        BareCore core;
+        SyntheticTraceGenerator a(benchProfile("gzip"), 1);
+        core.pipe.attachThread(0, a, 0);
+        core.pipe.tick();
+        core.pipe.detachThread(0);
+    }));
+    EXPECT_TRUE(diesWithAbort([] {
+        BareCore core;
+        core.pipe.detachThread(1);
+    }));
+
+    // Drained and detached, the context takes a thread again.
+    BareCore core;
+    SyntheticTraceGenerator a(benchProfile("gzip"), 1);
+    SyntheticTraceGenerator b(benchProfile("mcf"), 2);
+    core.pipe.attachThread(0, a, 0);
+    for (int i = 0; i < 500; ++i)
+        core.pipe.tick();
+    core.pipe.beginDrain(0);
+    core.pipe.tick();
+    core.pipe.detachThread(0);
+    EXPECT_FALSE(core.pipe.contextActive(0));
+    core.pipe.auditInvariants();
+    core.pipe.attachThread(0, b, threadAddrStride);
+    for (int i = 0; i < 500; ++i)
+        core.pipe.tick();
+    EXPECT_TRUE(core.pipe.contextActive(0));
+    core.pipe.auditInvariants();
 }
 
 } // anonymous namespace

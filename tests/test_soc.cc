@@ -21,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -515,6 +516,29 @@ twoCoreBenches()
     return b;
 }
 
+/**
+ * The same chip with 4 contexts per core and 5 threads, so contexts
+ * start idle: the cold spread puts gzip, crafty and swim on core 0
+ * and mcf and art on core 1. The symbiosis allocator then moves a
+ * thread into a context no thread occupied at build.
+ */
+SimConfig
+partlyOccupiedConfig()
+{
+    SimConfig cfg = twoCoreConfig();
+    cfg.soc.contextsPerCore = 4;
+    cfg.soc.epochCycles = 500;
+    return cfg;
+}
+
+const std::vector<std::string> &
+partlyOccupiedBenches()
+{
+    static const std::vector<std::string> b = {"gzip", "mcf", "crafty",
+                                               "art", "swim"};
+    return b;
+}
+
 struct TwoCoreGoldenRow
 {
     Cycle cycles;
@@ -529,6 +553,13 @@ twoCoreGolden()
     return {2039, 2, {0x3a1bcefa6e4e6731ull, 0xc7229c6a4d259259ull}};
 }
 
+/** Regenerate with SMT_PRINT_GOLDEN=1 (see file header). */
+TwoCoreGoldenRow
+partlyOccupiedGolden()
+{
+    return {2389, 1, {0xd06629509adb71b5ull, 0xb379c0540992ae92ull}};
+}
+
 SimResult
 runTwoCore()
 {
@@ -537,15 +568,60 @@ runTwoCore()
     return chip.run(3000, 2'000'000);
 }
 
-TEST(TwoCoreChip, MatchesCheckedInGolden)
+void
+expectGolden(const SimResult &r, const TwoCoreGoldenRow &want)
 {
-    const TwoCoreGoldenRow want = twoCoreGolden();
-    const SimResult r = runTwoCore();
     EXPECT_EQ(r.cycles, want.cycles);
     EXPECT_EQ(r.migrations, want.migrations);
     ASSERT_EQ(r.coreCommitHashes.size(), 2u);
     EXPECT_EQ(r.coreCommitHashes[0], want.coreHash[0]);
     EXPECT_EQ(r.coreCommitHashes[1], want.coreHash[1]);
+}
+
+void
+printGolden(const SimResult &r)
+{
+    std::printf("    return {%llu, %llu, {0x%016llxull, "
+                "0x%016llxull}};\n",
+                static_cast<unsigned long long>(r.cycles),
+                static_cast<unsigned long long>(r.migrations),
+                static_cast<unsigned long long>(
+                    r.coreCommitHashes[0]),
+                static_cast<unsigned long long>(
+                    r.coreCommitHashes[1]));
+}
+
+TEST(TwoCoreChip, MatchesCheckedInGolden)
+{
+    expectGolden(runTwoCore(), twoCoreGolden());
+}
+
+TEST(TwoCoreChip, PartlyOccupiedMatchesCheckedInGolden)
+{
+    ChipSimulator chip(partlyOccupiedConfig(), partlyOccupiedBenches(),
+                       PolicyKind::Dcra);
+    std::vector<bool> idleAtBuild;
+    for (int c = 0; c < 2; ++c) {
+        for (int k = 0; k < 4; ++k)
+            idleAtBuild.push_back(!chip.pipeline(c).contextActive(k));
+    }
+    ASSERT_EQ(std::count(idleAtBuild.begin(), idleAtBuild.end(), true),
+              3);
+
+    const SimResult r = chip.run(3000, 2'000'000);
+    expectGolden(r, partlyOccupiedGolden());
+
+    // Only a migration attaches a thread after build, so an active
+    // context that was idle at build took a migrant.
+    bool migrantInIdleContext = false;
+    for (int c = 0; c < 2; ++c) {
+        for (int k = 0; k < 4; ++k) {
+            migrantInIdleContext = migrantInIdleContext ||
+                (idleAtBuild[c * 4 + k] &&
+                 chip.pipeline(c).contextActive(k));
+        }
+    }
+    EXPECT_TRUE(migrantInIdleContext);
 }
 
 TEST(TwoCoreChip, BitDeterministicAcrossRuns)
@@ -566,15 +642,10 @@ TEST(TwoCoreChip, PrintCurrent)
         SUCCEED();
         return;
     }
-    const SimResult r = runTwoCore();
-    std::printf("    return {%llu, %llu, {0x%016llxull, "
-                "0x%016llxull}};\n",
-                static_cast<unsigned long long>(r.cycles),
-                static_cast<unsigned long long>(r.migrations),
-                static_cast<unsigned long long>(
-                    r.coreCommitHashes[0]),
-                static_cast<unsigned long long>(
-                    r.coreCommitHashes[1]));
+    printGolden(runTwoCore());
+    ChipSimulator chip(partlyOccupiedConfig(), partlyOccupiedBenches(),
+                       PolicyKind::Dcra);
+    printGolden(chip.run(3000, 2'000'000));
 }
 
 // ---------------------------------------------------------------
@@ -782,6 +853,9 @@ problemRows()
              c.soc.llcWays = 2;
          },
          two, ""},
+        // With "ROB past the trace replay bound" below, this pins the
+        // generator's ring at 2048 records: 2015 + 32 + 1 fits,
+        // 2016 + 32 + 1 does not.
         {"ROB at the trace replay bound",
          [](SimConfig &c) { c.core.robSize = 2015; }, two, ""},
         {"no cores", [](SimConfig &c) { c.soc.numCores = 0; }, two,
